@@ -17,8 +17,13 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NumericalError
+from .optim import add_l2, make_optimizer, minibatch_epochs
 
 logger = logging.getLogger("segrsd")
+
+# train_appearance logs a warning when training raises the mean cross-entropy
+# by more than this
+CE_TOLERANCE = 0.05
 
 
 @dataclass
@@ -189,11 +194,22 @@ def _embed_backward(layers, acts, d_embedding):
     return grads
 
 
-def _add_l2(params_layers, grads, loss, l2_weight):
-    for layer, grad in zip(params_layers, grads):
-        loss += 0.5 * l2_weight * float((layer.weights ** 2).sum())
-        grad[0] += l2_weight * layer.weights
-    return loss
+def softmax_cross_entropy(logits, labels, idx, weight: float = 1.0):
+    """weight * mean cross-entropy of softmax(logits[idx]) against labels[idx].
+
+    Returns (loss, dlogits); dlogits has the shape of logits and is zero on
+    rows outside idx.
+    """
+    targets = np.asarray(labels, dtype=np.int64)[idx]
+    rows = np.arange(len(idx))
+    lp = log_softmax(logits[idx])
+    loss = -weight * float(lp[rows, targets].mean())
+    dsel = np.exp(lp)
+    dsel[rows, targets] -= 1.0
+    dsel *= weight / len(idx)
+    dlogits = np.zeros_like(logits)
+    dlogits[idx] = dsel
+    return loss, dlogits
 
 
 def cross_entropy_loss_and_grads(
@@ -210,20 +226,11 @@ def cross_entropy_loss_and_grads(
     sequence contribute even when only later frames are selected. Returns
     (loss, grads) with grads aligned to params.layers.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     acts, emb, ctx, phi = _context_cache(params, feats)
     head = params.layers[-1]
     logits = phi @ head.weights.T + head.bias
     idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
-    targets = labels[idx]
-    lp = log_softmax(logits[idx])
-    loss = -weight * float(lp[np.arange(len(idx)), targets].mean())
-
-    dsel = np.exp(lp)
-    dsel[np.arange(len(idx)), targets] -= 1.0
-    dsel *= weight / len(idx)
-    dlogits = np.zeros_like(logits)
-    dlogits[idx] = dsel
+    loss, dlogits = softmax_cross_entropy(logits, labels, idx, weight)
 
     grad_head = [dlogits.T @ phi, dlogits.sum(axis=0)]
     dphi = dlogits @ head.weights
@@ -232,7 +239,7 @@ def cross_entropy_loss_and_grads(
     grads = _embed_backward(params.layers[:-1], acts, d_emb)
     grads.append(grad_head)
     if l2_weight:
-        loss = _add_l2(params.layers, grads, loss, l2_weight)
+        loss = add_l2(params.layers, grads, loss, l2_weight)
     return loss, grads
 
 
@@ -264,17 +271,14 @@ def train_appearance(
     labels: Mapping[str, np.ndarray],
     params: AppearanceParams,
     config: TrainConfig,
-    ce_tolerance: float = 0.05,
-    verbose: bool = False,
 ) -> AppearanceParams:
     """Minibatch training on frame labels; returns updated copy of params.
 
-    Minibatches are frames drawn without replacement within each epoch; a
-    batch may touch several videos, each of which is run in full so context
-    gradients stay exact. Deterministic given (params, config, data).
+    Batches come from `optim.minibatch_epochs`: frames drawn without
+    replacement within each epoch, each touched video weighted equally and
+    run in full so context gradients stay exact. Deterministic given
+    (params, config, data).
     """
-    from .optim import make_optimizer
-
     for video in videos:
         if video.id not in labels:
             raise ValueError(f"missing labels for video {video.id!r}")
@@ -284,46 +288,21 @@ def train_appearance(
     if config.epochs <= 0 or not any(out.trainable_mask):
         return out
 
-    rng = np.random.default_rng(config.seed)
-    frames = [(vi, t) for vi, v in enumerate(videos) for t in range(v.n_frames)]
     labs = [np.asarray(labels[v.id], dtype=np.int64) for v in videos]
-    opt = make_optimizer(config)
+
+    def video_loss(vi, idx, weight):
+        return cross_entropy_loss_and_grads(
+            out, videos[vi].features, labs[vi], idx, weight=weight
+        )
+
     ce_start = mean_cross_entropy(out, videos, labels)
-
-    for epoch in range(config.epochs):
-        perm = rng.permutation(len(frames))
-        for start in range(0, len(frames), config.batch_size):
-            chosen = [frames[i] for i in perm[start:start + config.batch_size]]
-            by_video: dict[int, list[int]] = {}
-            for vi, t in chosen:
-                by_video.setdefault(vi, []).append(t)
-            loss = 0.0
-            total = [None] * len(out.layers)
-            for vi in sorted(by_video):
-                idx = np.sort(np.asarray(by_video[vi]))
-                part, grads = cross_entropy_loss_and_grads(
-                    out, videos[vi].features, labs[vi], idx,
-                    weight=len(idx) / len(chosen),
-                )
-                loss += part
-                for i, g in enumerate(grads):
-                    if total[i] is None:
-                        total[i] = [g[0], g[1]]
-                    else:
-                        total[i][0] += g[0]
-                        total[i][1] += g[1]
-            if config.l2_weight:
-                loss = _add_l2(out.layers, total, loss, config.l2_weight)
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite appearance loss at epoch {epoch}, batch start {start}"
-                )
-            opt.step(out.layers, total, out.trainable_mask)
-        if verbose:
-            print(f"appearance epoch={epoch} loss={loss:.6f}")
-
+    for _ in minibatch_epochs(
+        out.layers, out.trainable_mask, [v.n_frames for v in videos], config,
+        np.random.default_rng(config.seed), video_loss,
+    ):
+        pass
     ce_end = mean_cross_entropy(out, videos, labels)
-    if ce_end > ce_start + ce_tolerance:
+    if ce_end > ce_start + CE_TOLERANCE:
         logger.warning(
             "training cross-entropy increased: %.6f -> %.6f", ce_start, ce_end
         )
@@ -402,7 +381,7 @@ def temporal_coherence_loss_and_grads(
         np.add.at(d_emb, ui, -gp)
     grads = _embed_backward(embed, acts, d_emb)
     if l2_weight:
-        loss = _add_l2(embed, grads, loss, l2_weight)
+        loss = add_l2(embed, grads, loss, l2_weight)
     return loss, grads
 
 
@@ -414,8 +393,6 @@ def tc_pretrain(
     gap: int = 30,
 ) -> AppearanceParams:
     """Pretrain the embedding so nearby frames embed smoothly and distant ones apart."""
-    from .optim import make_optimizer
-
     out = params.copy()
     embed_mask = out.trainable_mask[:-1]
     if config.epochs <= 0 or not any(embed_mask):

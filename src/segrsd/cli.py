@@ -8,6 +8,7 @@ only on inputs (no timestamps, no environment). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -213,11 +214,7 @@ def _cmd_train_rsd(args) -> int:
     corridor = CorridorParams.from_corpus(corpus)
     config = default_train_config(pipeline, seed=args.seed)
     if args.epochs is not None:
-        config = TrainConfig(
-            learning_rate=config.learning_rate, epochs=args.epochs,
-            batch_size=config.batch_size, l2_weight=config.l2_weight,
-            optimizer=config.optimizer, seed=args.seed,
-        )
+        config = dataclasses.replace(config, epochs=args.epochs)
     init = _prepare_init(args, corpus, pipeline, aux, corridor,
                          epochs=max(config.epochs, 1))
     params, history = train_rsd(
@@ -333,11 +330,8 @@ def _cmd_baselines(args) -> int:
                         init = init_for(aux, r)
                     else:
                         init = None
-                    base = default_train_config(pipeline, seed=seed)
-                    config = TrainConfig(
-                        learning_rate=base.learning_rate, epochs=args.epochs,
-                        batch_size=base.batch_size, l2_weight=base.l2_weight,
-                        optimizer=base.optimizer, seed=seed,
+                    config = dataclasses.replace(
+                        default_train_config(pipeline, seed=seed), epochs=args.epochs
                     )
                     params, _ = train_rsd(
                         corpus, init, mode, loss, config, corridor,

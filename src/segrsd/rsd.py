@@ -37,13 +37,15 @@ from .appearance import (
     _embed_chain,
     context_accumulate,
     context_backward,
+    init_appearance,
     init_dense,
-    log_softmax,
+    softmax_cross_entropy,
+    train_appearance,
 )
 from .core import Corpus, VideoSequence
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericalError
+from .optim import minibatch_epochs
 from .segtrain import SegCheckpoint, uniform_labels
-from .optim import make_optimizer
 
 logger = logging.getLogger("segrsd")
 
@@ -337,14 +339,8 @@ def rsd_loss_and_grads(
     if params.aux_head is not None and aux_target is not None:
         z = emb @ params.aux_head.weights.T + params.aux_head.bias
         if params.aux_kind == "classes":
-            y = np.asarray(aux_target, dtype=np.int64)[idx]
-            lp = log_softmax(z[idx])
-            loss += aux_weight * weight * float(-lp[np.arange(len(idx)), y].mean())
-            dz_sel = np.exp(lp)
-            dz_sel[np.arange(len(idx)), y] -= 1.0
-            dz_sel *= aux_weight * weight / len(idx)
-            dz = np.zeros_like(z)
-            dz[idx] = dz_sel
+            aux_loss, dz = softmax_cross_entropy(z, aux_target, idx, aux_weight * weight)
+            loss += aux_loss
         else:
             zp = z[:, 0]
             tgt = np.asarray(aux_target, dtype=np.float64)
@@ -390,11 +386,10 @@ def default_train_config(pipeline: str, seed: int = 0) -> TrainConfig:
 
 
 def _resolve_aux_targets(
-    corpus: Corpus, mode: PipelineMode, init: AuxInit | None, n_subactivities: int
+    corpus: Corpus, task: str, init: AuxInit | None, n_subactivities: int
 ):
-    """Per-video targets for the regularization pipeline's auxiliary head."""
+    """Per-video targets of an auxiliary task: (targets, aux kind, output width)."""
     videos = corpus.by_split("train")
-    task = mode.aux_task
     if task == "learned_seg":
         if init is None or init.labels is None:
             raise DataFormatError("learned_seg regularization needs checkpoint labels")
@@ -462,7 +457,7 @@ def train_rsd(
     aux_targets, aux_kind, aux_dim = None, "none", 0
     if mode.pipeline == "regularization":
         aux_targets, aux_kind, aux_dim = _resolve_aux_targets(
-            corpus, mode, init, n_subactivities
+            corpus, mode.aux_task, init, n_subactivities
         )
     params = init_rsd(
         rng,
@@ -492,63 +487,36 @@ def train_rsd(
     history: list[tuple[int, float, float]] = []
     best = params.copy()
     best_mae = np.inf
-    if config.epochs <= 0:
-        return best, history
 
-    opt = make_optimizer(config)
-    frames = [(vi, t) for vi, v in enumerate(train_videos) for t in range(v.n_frames)]
-    layers = params.layer_list()
-    for epoch in range(config.epochs):
-        perm = rng.permutation(len(frames))
-        epoch_losses = []
-        aborted = False
-        for start in range(0, len(frames), config.batch_size):
-            chosen = [frames[i] for i in perm[start:start + config.batch_size]]
-            by_video: dict[int, list[int]] = {}
-            for vi, t in chosen:
-                by_video.setdefault(vi, []).append(t)
-            loss = 0.0
-            total = [None] * len(layers)
-            for vi in sorted(by_video):
-                video = train_videos[vi]
-                idx = np.sort(np.asarray(by_video[vi]))
-                part, grads = rsd_loss_and_grads(
-                    params, video, loss_name, corridor,
-                    frame_indices=idx,
-                    aux_target=aux_targets[video.id] if aux_targets else None,
-                    aux_weight=aux_weight,
-                    weight=1.0 / len(by_video),
-                    target_kind=target_kind,
-                )
-                loss += part
-                for i, g in enumerate(grads):
-                    if total[i] is None:
-                        total[i] = g
-                    else:
-                        total[i][0] += g[0]
-                        total[i][1] += g[1]
-            if config.l2_weight:
-                for layer, grad in zip(layers, total):
-                    loss += 0.5 * config.l2_weight * float((layer.weights ** 2).sum())
-                    grad[0] += config.l2_weight * layer.weights
-            if not np.isfinite(loss):
-                logger.error("non-finite loss at epoch %d; stopping with best params", epoch)
-                aborted = True
-                break
-            opt.step(layers, total, params.trainable_mask, lr_mult)
-            epoch_losses.append(loss)
-        if aborted:
-            break
-        if target_kind == "progress":
-            val_mae = _progress_mae(params, val_videos or train_videos)
-        else:
-            val_mae = mae_of(params, val_videos or train_videos)
-        history.append((epoch, float(np.mean(epoch_losses)), val_mae))
-        if verbose:
-            print(f"epoch={epoch} loss={np.mean(epoch_losses):.6f} val_mae={val_mae:.6f}")
-        if val_mae < best_mae:
-            best_mae = val_mae
-            best = params.copy()
+    def video_loss(vi, idx, weight):
+        video = train_videos[vi]
+        return rsd_loss_and_grads(
+            params, video, loss_name, corridor,
+            frame_indices=idx,
+            aux_target=aux_targets[video.id] if aux_targets else None,
+            aux_weight=aux_weight,
+            weight=weight,
+            target_kind=target_kind,
+        )
+
+    epochs = minibatch_epochs(
+        params.layer_list(), params.trainable_mask, [v.n_frames for v in train_videos],
+        config, rng, video_loss, lr_mult,
+    )
+    try:
+        for epoch, loss in enumerate(epochs):
+            if target_kind == "progress":
+                val_mae = _progress_mae(params, val_videos or train_videos)
+            else:
+                val_mae = mae_of(params, val_videos or train_videos)
+            history.append((epoch, loss, val_mae))
+            if verbose:
+                print(f"epoch={epoch} loss={loss:.6f} val_mae={val_mae:.6f}")
+            if val_mae < best_mae:
+                best_mae = val_mae
+                best = params.copy()
+    except NumericalError as err:
+        logger.error("%s; stopping with best params", err)
     return best, history
 
 
@@ -577,8 +545,6 @@ def build_aux_init(
     learned_seg reuses the checkpoint; uniform and phase train a classifier
     on their respective labels; progress trains a regressor on prog(t).
     """
-    from .appearance import init_appearance, train_appearance
-
     if aux_task == "learned_seg":
         if checkpoint is None:
             raise ValueError("learned_seg transfer needs a segmentation checkpoint")
@@ -586,15 +552,7 @@ def build_aux_init(
     videos = corpus.by_split("train")
     config = config or TrainConfig(learning_rate=1e-2, epochs=40, seed=0)
     if aux_task in ("uniform", "phase"):
-        if aux_task == "uniform":
-            labels = {v.id: uniform_labels(v, n_subactivities) for v in videos}
-            n_classes = n_subactivities
-        else:
-            missing = [v.id for v in videos if v.phase_labels is None]
-            if missing:
-                raise DataFormatError(f"phase transfer needs phase labels; missing for {missing}")
-            labels = {v.id: v.phase_labels for v in videos}
-            n_classes = int(max(l.max() for l in labels.values())) + 1
+        labels, _, n_classes = _resolve_aux_targets(corpus, aux_task, None, n_subactivities)
         params = init_appearance(
             np.random.default_rng(config.seed), corpus.feature_dim,
             [hidden_dim], n_classes, context_lambda,

@@ -19,6 +19,7 @@ from segrsd.appearance import (
     train_appearance,
 )
 from segrsd.core import VideoSequence
+from segrsd.errors import NumericalError
 
 from conftest import finite_difference_grads, grad_rel_error, make_video
 
@@ -265,6 +266,38 @@ class TestTrainAppearance:
         )
         after = mean_cross_entropy(out, videos, labels)
         assert after < before
+
+    def test_batch_weights_each_video_equally(self):
+        # one batch holds every frame of an 18- and a 30-frame video; each
+        # video's mean frame loss counts 1/2, whatever its length
+        videos = [make_video("short", n_frames=18, n_features=3, seed=1),
+                  make_video("long", n_frames=30, n_features=3, seed=2)]
+        labels = {"short": np.array([0] * 9 + [1] * 9),
+                  "long": np.array([0] * 12 + [1] * 18)}
+        params = init_appearance(np.random.default_rng(0), 3, [4], 2)
+        cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=64,
+                          l2_weight=0.0, optimizer="sgd", seed=0)
+        out = train_appearance(videos, labels, params, cfg)
+        per_video = [
+            cross_entropy_loss_and_grads(params, v.features, labels[v.id], weight=1.0)[1]
+            for v in videos
+        ]
+        for i, layer in enumerate(params.layers):
+            for part, got in enumerate((out.layers[i].weights, out.layers[i].bias)):
+                before = (layer.weights, layer.bias)[part]
+                mean_grad = 0.5 * (per_video[0][i][part] + per_video[1][i][part])
+                np.testing.assert_allclose(got, before - cfg.learning_rate * mean_grad,
+                                           rtol=1e-12, atol=1e-14)
+
+    def test_non_finite_loss_raises(self):
+        # SGD with learning_rate * l2_weight = 1000 multiplies the weights by
+        # -999 per step until the L2 term overflows
+        videos, labels, params = self._setup()
+        cfg = TrainConfig(learning_rate=1e3, epochs=50, batch_size=8,
+                          l2_weight=1.0, optimizer="sgd", seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                train_appearance(videos, labels, params, cfg)
 
 
 class TestTcPretrain:

@@ -492,6 +492,22 @@ class TestTrainRsd:
         assert lines[0].startswith("epoch=0 loss=")
         assert " val_mae=" in lines[1]
 
+    def test_non_finite_loss_returns_best_so_far(self, caplog):
+        # SGD with learning_rate * l2_weight = 1000 multiplies the weights by
+        # -999 per step until the L2 term overflows, some epochs in
+        corpus = _rsd_corpus()
+        corr = CorridorParams.from_corpus(corpus)
+        cfg = TrainConfig(learning_rate=1e3, epochs=30, batch_size=64,
+                          l2_weight=1.0, optimizer="sgd", seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
+                                     "smoothl1", cfg, corr, verbose=False)
+        assert 0 < len(hist) < cfg.epochs
+        assert [h[0] for h in hist] == list(range(len(hist)))
+        assert all(np.isfinite(h[1]) for h in hist)
+        assert mae_of(params, corpus.by_split("val")) == min(h[2] for h in hist)
+        assert f"non-finite loss at epoch {len(hist)}" in caplog.text
+
     def test_deterministic(self):
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
