@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NumericalError
 from .optim import add_l2, make_optimizer, minibatch_epochs
@@ -121,6 +120,22 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # forward pieces
 
+def _decay_scan(y: np.ndarray, lam: float) -> np.ndarray:
+    """In place, y_t += lam * y_{t-1} down the rows; returns y.
+
+    A log-step scan (Hillis & Steele 1986): after the add with shift k each
+    row holds its 2k nearest terms, weighted lam**j. The loop stops once
+    lam**k is below eps**2: every farther term is then below rounding, and
+    the squared weights would soon be subnormal numbers, which are slow.
+    """
+    eps = np.finfo(np.float64).eps
+    k, p = 1, lam
+    while k < y.shape[0] and p > eps * eps:
+        y[k:] += p * y[:-k]
+        k, p = 2 * k, p * p
+    return y
+
+
 def context_accumulate(features, lam: float) -> np.ndarray:
     """Causal exponential average: c_0 = f_0, c_t = lam*c_{t-1} + (1-lam)*f_t."""
     feats = np.asarray(features, dtype=np.float64)
@@ -130,17 +145,16 @@ def context_accumulate(features, lam: float) -> np.ndarray:
         raise ValueError(f"lambda outside [0, 1): {lam}")
     if lam == 0.0:
         return feats.copy()
-    # IIR filter with initial state chosen so the first output equals f_0
-    zi = lam * feats[:1]
-    out, _ = lfilter([1.0 - lam], [1.0, -lam], feats, axis=0, zi=zi)
-    return out
+    out = (1.0 - lam) * feats
+    out[:1] = feats[:1]  # c_0 copies f_0 with unit weight
+    return _decay_scan(out, lam)
 
 
 def context_backward(grad_ctx: np.ndarray, lam: float) -> np.ndarray:
     """Adjoint of context_accumulate: gradient w.r.t. the raw inputs."""
     if lam == 0.0:
         return grad_ctx.copy()
-    acc = lfilter([1.0], [1.0, -lam], grad_ctx[::-1], axis=0)[::-1]
+    acc = _decay_scan(np.array(grad_ctx[::-1], dtype=np.float64), lam)[::-1]
     out = (1.0 - lam) * acc
     out[0] = acc[0]  # c_0 copies f_0 with unit weight
     return out

@@ -61,7 +61,7 @@ def save_video(video: VideoSequence, path) -> None:
 
 def load_video(path, video_id: str | None = None) -> VideoSequence:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingFileError(f"no such feature file: {path}")
     raw = path.read_bytes()
     if len(raw) < len(FEATURE_MAGIC):
@@ -288,7 +288,7 @@ def _write_container(path, kind: int, meta: dict, arrays: list[tuple[str, np.nda
 
 def _read_container(path, expected_kind: int | None = None):
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingFileError(f"no such checkpoint: {path}")
     raw = path.read_bytes()
     if len(raw) < 8 or raw[:8] != CHECKPOINT_MAGIC:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import Segmentation
 
@@ -245,7 +244,7 @@ def _lengths_log_prob(lengths, present, length_model: LengthModel) -> float:
         return -math.inf
     theta = theta / total
     rest = counts.sum()
-    log_coeff = float(gammaln(rest + 1.0) - gammaln(counts + 1.0).sum())
+    log_coeff = math.lgamma(rest + 1.0) - sum(math.lgamma(c + 1.0) for c in counts.tolist())
     with np.errstate(divide="ignore"):
         log_theta = np.log(theta)
     support = counts > 0

@@ -62,6 +62,27 @@ class TestContextAccumulate:
         rhs = float((f * context_backward(g, 0.7)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n_frames", [1, 2, 181, 1800])
+    def test_matches_loop_at_video_lengths(self, n_frames, lam):
+        # lengths past the scan's doubling steps and its early stop; positive
+        # inputs keep every output well-conditioned for a relative tolerance
+        rng = np.random.default_rng(n_frames)
+        f = rng.uniform(0.5, 1.5, size=(n_frames, 3))
+        expected = np.empty_like(f)
+        expected[0] = f[0]
+        for t in range(1, n_frames):
+            expected[t] = lam * expected[t - 1] + (1.0 - lam) * f[t]
+        np.testing.assert_allclose(context_accumulate(f, lam), expected, rtol=1e-12)
+        if n_frames == 1800:
+            # the backward pass receives a strided column slice of the head gradient
+            h = 3
+            dphi = rng.standard_normal((n_frames, 2 * h))
+            g = rng.standard_normal((n_frames, h))
+            lhs = float((context_accumulate(g, lam) * dphi[:, h:]).sum())
+            rhs = float((g * context_backward(dphi[:, h:], lam)).sum())
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
 
 class TestForward:
     def _zero_params(self, d=3, h=2, k=4):

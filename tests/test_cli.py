@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import segrsd
 from segrsd.cli import main
 from segrsd.data_io import load_rsd_checkpoint, load_seg_checkpoint
 
@@ -150,14 +156,16 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_data_error_missing_checkpoint(self, workspace, capsys):
-        code = main([
-            "train-rsd", "--corpus", str(workspace / "corpus"),
-            "--out", str(workspace / "should_not_exist"),
-            "--pipeline", "feature", "--aux", "seg",
-            "--checkpoint", str(workspace / "missing.ckpt"), "--epochs", "1",
-        ])
-        assert code == 2
-        capsys.readouterr()
+        # a directory (segment's --out) is no more a checkpoint than a missing file
+        for checkpoint in (workspace / "missing.ckpt", workspace / "seg"):
+            code = main([
+                "train-rsd", "--corpus", str(workspace / "corpus"),
+                "--out", str(workspace / "should_not_exist"),
+                "--pipeline", "feature", "--aux", "seg",
+                "--checkpoint", str(checkpoint), "--epochs", "1",
+            ])
+            assert code == 2, checkpoint
+            assert "error:" in capsys.readouterr().err
 
     def test_data_error_aux_seg_without_checkpoint(self, workspace, capsys):
         code = main([
@@ -187,3 +195,16 @@ class TestBaselines:
             assert row in report
         csv = (out / "baselines_report.csv").read_text()
         assert "single_task.smoothl1" in csv.splitlines()[0]
+
+
+def test_import_loads_no_scipy():
+    # the package and its CLI run on numpy and the standard library alone
+    code = (
+        "import sys, segrsd, segrsd.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(segrsd.__file__).parents[1])},
+    )
+    assert done.stdout.strip() == "[]"
