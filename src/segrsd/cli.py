@@ -39,7 +39,8 @@ from .rsd import (
     predict_video,
     train_rsd,
 )
-from .segtrain import SegTrainConfig, run as run_segmentation, select_checkpoint
+from .segtrain import MAX_COHERENT_LABELS, SegTrainConfig, select_checkpoint
+from .segtrain import run as run_segmentation
 
 PIPELINE_FLAG = {
     "feature": "feature_extraction",
@@ -93,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="alternate appearance and temporal models")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k", type=int, default=10, help="number of subactivities")
+    p.add_argument("--k", type=int, default=10,
+                   help=f"number of subactivities (at most {MAX_COHERENT_LABELS})")
     p.add_argument("--iterations", type=int, default=8)
     p.add_argument("--select", type=_select_window, default=(6, 8),
                    help="checkpoint selection window a:b")

@@ -9,7 +9,6 @@ trailing iteration window is the one handed to downstream training.
 from __future__ import annotations
 
 import copy
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -41,6 +40,9 @@ from .temporal import (
 
 logger = logging.getLogger("segrsd")
 
+# the exact TC search takes O(2^n * n) time and O(2^n) memory for n labels
+MAX_COHERENT_LABELS = 16
+
 
 @dataclass
 class SegTrainConfig:
@@ -65,6 +67,10 @@ class SegTrainConfig:
     )
 
     def __post_init__(self):
+        if self.n_subactivities > MAX_COHERENT_LABELS:
+            raise ValueError(
+                f"n_subactivities above {MAX_COHERENT_LABELS}, the exact TC search's limit"
+            )
         a, b = self.selection_window
         if not (1 <= a <= b <= self.iterations) and self.iterations > 0:
             raise ValueError(
@@ -119,27 +125,18 @@ def init_labels(videos: Sequence, n_subactivities: int, rng, r0: float = 1.0) ->
 class CoherentMatch:
     order: tuple[int, ...]
     accuracy: float
-    exact: bool
-
-
-def _order_accuracy(order, run_lengths, prefix, n_frames) -> int:
-    matches = 0
-    pos = 0
-    for label in order:
-        end = pos + run_lengths[label]
-        matches += prefix[label][end] - prefix[label][pos]
-        pos = end
-    return matches
 
 
 def best_coherent_match(pred_labels, n_subactivities: int) -> CoherentMatch:
     """Best agreement between the predictions and one coherent relabeling.
 
     A coherent relabeling keeps each present label's total footprint as one
-    contiguous block; the search is over block orders. Exhaustive up to 8
-    present labels (ties resolved toward the lexicographically smallest
-    order); beyond that, 2-opt hill climbing from 16 Mallows-prior restarts,
-    flagged exact=False.
+    contiguous block; the search is over block orders. The labels S laid
+    out last start at frame T - |S| (|S| their frame count), so the subset
+    dynamic program best[S] = max over first label j of best[S - j] + the
+    frames of j in its block is exact in O(2^n * n) for n present labels
+    (Held & Karp 1962). Taking the smallest j on ties at every step yields
+    the lexicographically smallest optimal order.
     """
     labels = np.asarray(pred_labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
@@ -148,45 +145,36 @@ def best_coherent_match(pred_labels, n_subactivities: int) -> CoherentMatch:
     present = sorted(int(k) for k in np.unique(labels))
     if present[0] < 0 or present[-1] >= n_subactivities:
         raise ValueError("labels outside [0, K)")
-    run_lengths = {k: int((labels == k).sum()) for k in present}
-    prefix = {
-        k: np.concatenate(([0], np.cumsum(labels == k))).astype(np.int64)
-        for k in present
-    }
+    n = len(present)
+    if n > MAX_COHERENT_LABELS:
+        raise ValueError(
+            f"{n} labels present, the exact TC search takes at most {MAX_COHERENT_LABELS}"
+        )
+    counts, gain = [], []  # gain[j][s]: frames of label j in its block at frame s
+    for k in present:
+        prefix = np.concatenate(([0], np.cumsum(labels == k)))
+        counts.append(int(prefix[-1]))
+        gain.append((prefix[counts[-1]:] - prefix[:-counts[-1]]).tolist())
 
-    if len(present) <= 8:
-        best_order, best_matches = None, -1
-        for cand in itertools.permutations(present):
-            m = _order_accuracy(cand, run_lengths, prefix, n_frames)
-            if m > best_matches:
-                best_order, best_matches = cand, m
-        return CoherentMatch(best_order, best_matches / n_frames, True)
+    full = (1 << n) - 1
+    start, best, first = [n_frames] * (full + 1), [0] * (full + 1), [0] * (full + 1)
+    members = [(j, 1 << j, gain[j]) for j in range(n)]
+    for subset in range(1, full + 1):
+        low = subset & -subset
+        pos = start[subset] = start[subset ^ low] - counts[low.bit_length() - 1]
+        top = -1
+        for j, bit, frames in members:
+            if subset & bit:
+                value = best[subset ^ bit] + frames[pos]
+                if value > top:
+                    top, first[subset] = value, j
+        best[subset] = top
 
-    rng = np.random.default_rng(0)  # fixed stream keeps reports reproducible
-    prior = MallowsModel.with_constant_rho(len(present), 1.0)
-    best_order, best_matches = tuple(present), _order_accuracy(
-        tuple(present), run_lengths, prefix, n_frames
-    )
-    for _ in range(16):
-        perm = inversions_to_order(mallows_sample(prior, rng))
-        cand = [present[i] for i in perm]
-        matches = _order_accuracy(cand, run_lengths, prefix, n_frames)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(cand) - 1):
-                for j in range(i + 1, len(cand)):
-                    cand[i], cand[j] = cand[j], cand[i]
-                    m = _order_accuracy(cand, run_lengths, prefix, n_frames)
-                    if m > matches:
-                        matches = m
-                        improved = True
-                    else:
-                        cand[i], cand[j] = cand[j], cand[i]
-        cand_t = tuple(cand)
-        if matches > best_matches or (matches == best_matches and cand_t < best_order):
-            best_order, best_matches = cand_t, matches
-    return CoherentMatch(best_order, best_matches / n_frames, False)
+    order, subset = [], full
+    while subset:
+        order.append(present[first[subset]])
+        subset ^= 1 << first[subset]
+    return CoherentMatch(tuple(order), best[full] / n_frames)
 
 
 def tc_from_labels(label_sequences, n_subactivities: int) -> float:

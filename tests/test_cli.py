@@ -147,6 +147,17 @@ class TestExitCodes:
         ]) == 1
         capsys.readouterr()
 
+    def test_usage_error_too_many_subactivities(self, workspace, capsys):
+        # the exact TC search bounds K; the run stops before any training
+        out = workspace / "seg_k17"
+        code = main([
+            "segment", "--corpus", str(workspace / "corpus"), "--out", str(out),
+            "--k", "17",
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_missing_corpus(self, tmp_path, capsys):
         code = main([
             "segment", "--corpus", str(tmp_path / "nowhere"),
@@ -208,3 +219,10 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(Path(segrsd.__file__).parents[1])},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_oracle_selftest():
+    # the benchmark checks the package's TC against this independent oracle
+    selftest = Path(__file__).parents[1] / "perfbench" / "selftest.py"
+    done = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

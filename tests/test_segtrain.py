@@ -76,7 +76,6 @@ class TestBestCoherentMatch:
         match = best_coherent_match(np.array([0, 0, 1, 1]), 2)
         assert match.order == (0, 1)
         assert match.accuracy == 1.0
-        assert match.exact
 
     def test_alternating_ties_break_lexicographically(self):
         match = best_coherent_match(np.array([0, 1, 0, 1]), 2)
@@ -91,12 +90,11 @@ class TestBestCoherentMatch:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
-            k = int(rng.integers(2, 6))
+            k = int(rng.integers(2, 8))
             n = int(rng.integers(4, 31))
             labels = rng.integers(0, k, size=n)
             match = best_coherent_match(labels, k)
             order, acc = brute_force_match(labels, k)
-            assert match.exact
             assert match.accuracy == pytest.approx(acc, abs=1e-12)
             assert match.order == order
 
@@ -105,22 +103,19 @@ class TestBestCoherentMatch:
         assert match.order == (3, 1)
         assert match.accuracy == 1.0
 
-    def test_approximate_path_flags_and_bounds(self):
-        rng = np.random.default_rng(3)
-        labels = np.repeat(np.arange(9), 12)
-        perturbed = labels.copy()
-        idx = rng.choice(len(labels), size=20, replace=False)
-        perturbed[idx] = rng.integers(0, 9, size=20)
-        match = best_coherent_match(perturbed, 9)
-        assert not match.exact
-        assert sorted(match.order) == list(range(9))
-        # identity order is a candidate layout the search must not fall under
-        counts = [int((perturbed == p).sum()) for p in range(9)]
-        identity = np.concatenate([np.full(c, p) for p, c in enumerate(counts)])
-        base = (identity == perturbed).mean()
-        assert match.accuracy >= base - 1e-12
-        again = best_coherent_match(perturbed, 9)
-        assert again.order == match.order and again.accuracy == match.accuracy
+    def test_nine_labels_exact(self):
+        # 19/60 and this order come from brute force over all 9! orders with
+        # integer prefix sums (ties to the lexicographically smallest order);
+        # 2-opt local search from 16 random restarts stops at 17/60 here
+        labels = np.random.default_rng(5).integers(0, 9, size=60)
+        match = best_coherent_match(labels, 9)
+        assert match.accuracy == 19 / 60
+        assert match.order == (6, 4, 3, 0, 2, 5, 8, 1, 7)
+
+    def test_label_bound(self):
+        assert best_coherent_match(np.arange(16), 16).accuracy == 1.0
+        with pytest.raises(ValueError, match="17 labels present"):
+            best_coherent_match(np.arange(17), 17)
 
 
 class TestTcMeasure:
