@@ -74,6 +74,13 @@ def _select_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="segrsd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -96,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k", type=int, default=10,
                    help=f"number of subactivities (at most {MAX_COHERENT_LABELS})")
-    p.add_argument("--iterations", type=int, default=8)
+    p.add_argument("--iterations", type=_positive_int, default=8)
     p.add_argument("--select", type=_select_window, default=(6, 8),
                    help="checkpoint selection window a:b")
     p.add_argument("--sweeps", type=int, default=25)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -23,19 +23,6 @@ from .core import Segmentation
 
 LOG_FLOOR = -745.0  # below log(smallest subnormal double); used for zero probabilities
 
-_zero_prob_events = 0
-
-
-def zero_prob_events() -> int:
-    """How many per-frame zero probabilities were floored since the last reset."""
-    return _zero_prob_events
-
-
-def reset_zero_prob_events() -> None:
-    global _zero_prob_events
-    _zero_prob_events = 0
-
-
 @dataclass
 class MallowsModel:
     """Dispersion per inversion slot plus the conjugate-style prior weights."""
@@ -236,44 +223,49 @@ def update_theta(counts, model: LengthModel) -> np.ndarray:
     return (counts + model.alpha0) / denom
 
 
-def _lengths_log_prob(lengths, present, length_model: LengthModel) -> float:
-    counts = np.asarray(lengths, dtype=np.float64) - 1.0
-    theta = length_model.theta[list(present)]
-    total = float(theta.sum())
-    if total <= 0:
-        return -math.inf
-    theta = theta / total
-    rest = counts.sum()
-    log_coeff = math.lgamma(rest + 1.0) - sum(math.lgamma(c + 1.0) for c in counts.tolist())
-    with np.errstate(divide="ignore"):
-        log_theta = np.log(theta)
-    support = counts > 0
-    if np.any(np.isneginf(log_theta[support])):
-        return -math.inf
-    return log_coeff + float((counts[support] * log_theta[support]).sum())
-
-
 # ---------------------------------------------------------------------------
 # joint likelihood and the segmentation sampler
 
-def _appearance_log_prob(order, lengths, probs: np.ndarray) -> float:
-    global _zero_prob_events
-    labels = np.repeat(np.asarray(order, dtype=np.int64), np.asarray(lengths))
-    sel = probs[np.arange(labels.size), labels]
-    zero = sel <= 0.0
-    if np.any(zero):
-        _zero_prob_events += int(zero.sum())
-        out = np.full(sel.shape, LOG_FLOOR)
-        out[~zero] = np.log(sel[~zero])
-        return float(out.sum())
-    return float(np.log(sel).sum())
+def _joint_scorer(probs: np.ndarray, mallows: MallowsModel, length_model: LengthModel, n_sub: int):
+    """Return score(order, lengths) = log P(frames, order, lengths) for one video.
 
+    Appearance terms are differences of per-label prefix sums of floored
+    log-probabilities (a NaN probability makes its label's later sums NaN);
+    the Mallows term and normalized log theta are computed once per order.
+    """
+    n_frames = probs.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_probs = np.where(probs <= 0.0, LOG_FLOOR, np.log(probs))
+    columns = np.cumsum(np.vstack([np.zeros(probs.shape[1]), log_probs]), axis=0).T.tolist()
+    per_order = {}
 
-def _log_joint(order, lengths, n_sub, probs, mallows, length_model) -> float:
-    app = _appearance_log_prob(order, lengths, probs)
-    order_term = mallows_log_prob(partial_order_inversions(order, n_sub), mallows)
-    length_term = _lengths_log_prob(lengths, order, length_model)
-    return app + order_term + length_term
+    def order_terms(order) -> tuple[float, list[float]]:
+        key = tuple(order)
+        if key not in per_order:
+            theta = length_model.theta[list(key)]
+            total = float(theta.sum())
+            if total <= 0:  # no length mass on the present labels: impossible, as in sample_lengths
+                return -math.inf, [-math.inf] * len(key)
+            with np.errstate(divide="ignore"):
+                log_theta = np.log(theta / total).tolist()
+            order_term = mallows_log_prob(partial_order_inversions(key, n_sub), mallows)
+            per_order[key] = (order_term, log_theta)
+        return per_order[key]
+
+    def score(order, lengths) -> float:
+        order_term, log_theta = order_terms(order)
+        app = weighted = 0.0
+        log_coeff = math.lgamma(n_frames - len(lengths) + 1.0)
+        end = 0
+        for label, n, log_t in zip(order, lengths, log_theta):
+            start, end = end, end + n
+            app += columns[label][end] - columns[label][start]
+            if n > 1:
+                log_coeff -= math.lgamma(n)
+                weighted += (n - 1) * log_t
+        return app + order_term + (log_coeff + weighted)
+
+    return score
 
 
 def segmentation_log_joint(
@@ -284,9 +276,7 @@ def segmentation_log_joint(
         raise ValueError("probability table must cover every frame")
     if seg.n_subactivities != mallows.n_subactivities:
         raise ValueError("segmentation and Mallows model disagree on K")
-    return _log_joint(
-        list(seg.order), list(seg.lengths), seg.n_subactivities, probs, mallows, length_model
-    )
+    return _joint_scorer(probs, mallows, length_model, seg.n_subactivities)(seg.order, seg.lengths)
 
 
 def _accept(log_ratio: float, rng) -> bool:
@@ -317,7 +307,8 @@ def sample_segmentation(
         raise ValueError(f"probs shape {probs.shape} does not match T={n_frames}, K={n_sub}")
     order = list(current.order)
     lengths = list(current.lengths)
-    cur = _log_joint(order, lengths, n_sub, probs, mallows, length_model)
+    score = _joint_scorer(probs, mallows, length_model, n_sub)
+    cur = score(order, lengths)
     width = max(1, n_frames // 50)
 
     for _ in range(sweeps):
@@ -332,7 +323,7 @@ def sample_segmentation(
             cand = lengths.copy()
             cand[b] = left
             cand[b + 1] = right
-            new = _log_joint(order, cand, n_sub, probs, mallows, length_model)
+            new = score(order, cand)
             if _accept(new - cur, rng):
                 lengths, cur = cand, new
 
@@ -343,23 +334,23 @@ def sample_segmentation(
             cand_lengths = lengths.copy()
             cand_order[i], cand_order[i + 1] = cand_order[i + 1], cand_order[i]
             cand_lengths[i], cand_lengths[i + 1] = cand_lengths[i + 1], cand_lengths[i]
-            new = _log_joint(cand_order, cand_lengths, n_sub, probs, mallows, length_model)
+            new = score(cand_order, cand_lengths)
             if _accept(new - cur, rng):
                 order, lengths, cur = cand_order, cand_lengths, new
 
         # birth/death of unit-length segments
         if rng.random() < birth_death_prob:
             if rng.random() < 0.5:
-                result = _propose_birth(order, lengths, n_sub, probs, mallows, length_model, cur, rng)
+                result = _propose_birth(order, lengths, n_sub, score, cur, rng)
             else:
-                result = _propose_death(order, lengths, n_sub, probs, mallows, length_model, cur, rng)
+                result = _propose_death(order, lengths, n_sub, score, cur, rng)
             if result is not None:
                 order, lengths, cur = result
 
     return Segmentation(tuple(zip(order, lengths)), n_sub)
 
 
-def _propose_birth(order, lengths, n_sub, probs, mallows, length_model, cur, rng):
+def _propose_birth(order, lengths, n_sub, score, cur, rng):
     absent = [k for k in range(n_sub) if k not in order]
     if not absent:
         return None
@@ -374,7 +365,7 @@ def _propose_birth(order, lengths, n_sub, probs, mallows, length_model, cur, rng
     cand_lengths.insert(slot, 1)
     cand_order = order.copy()
     cand_order.insert(slot, newcomer)
-    new = _log_joint(cand_order, cand_lengths, n_sub, probs, mallows, length_model)
+    new = score(cand_order, cand_lengths)
     units_after = cand_lengths.count(1)
     log_ratio = new - cur + math.log(len(absent) * (n_seg + 1) / units_after)
     if _accept(log_ratio, rng):
@@ -382,7 +373,7 @@ def _propose_birth(order, lengths, n_sub, probs, mallows, length_model, cur, rng
     return None
 
 
-def _propose_death(order, lengths, n_sub, probs, mallows, length_model, cur, rng):
+def _propose_death(order, lengths, n_sub, score, cur, rng):
     n_seg = len(order)
     if n_seg < 2:
         return None
@@ -396,7 +387,7 @@ def _propose_death(order, lengths, n_sub, probs, mallows, length_model, cur, rng
     cand_lengths[recipient] += 1
     del cand_order[victim]
     del cand_lengths[victim]
-    new = _log_joint(cand_order, cand_lengths, n_sub, probs, mallows, length_model)
+    new = score(cand_order, cand_lengths)
     absent_after = n_sub - (n_seg - 1)
     log_ratio = new - cur + math.log(len(units) / (absent_after * n_seg))
     if _accept(log_ratio, rng):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -158,6 +159,17 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_usage_error_zero_iterations(self, workspace, capsys):
+        # a run with no iterations can select no checkpoint: the user's mistake
+        out = workspace / "seg_iter0"
+        code = main([
+            "segment", "--corpus", str(workspace / "corpus"), "--out", str(out),
+            "--iterations", "0",
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_missing_corpus(self, tmp_path, capsys):
         code = main([
             "segment", "--corpus", str(tmp_path / "nowhere"),
@@ -219,6 +231,17 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(Path(segrsd.__file__).parents[1])},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_no_global_statements():
+    # no module-global mutable state: nothing in the package rebinds a global
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(segrsd.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
 
 
 def test_benchmark_oracle_selftest():

@@ -9,19 +9,18 @@ from segrsd.temporal import (
     LOG_FLOOR,
     LengthModel,
     MallowsModel,
+    _joint_scorer,
     estimate_rho,
     inversions_to_order,
     mallows_log_prob,
     mallows_sample,
     order_to_inversions,
     partial_order_inversions,
-    reset_zero_prob_events,
     sample_lengths,
     sample_segmentation,
     segmentation_log_joint,
     truncated_geometric_mean,
     update_theta,
-    zero_prob_events,
 )
 
 
@@ -280,14 +279,58 @@ class TestJointLikelihood:
             want = oracle_log_joint(seg, probs, m.rho, lm.theta)
             assert got == pytest.approx(want, abs=1e-10)
 
-    def test_zero_prob_uses_floor_and_flags(self):
+    def test_matches_oracle_random_states(self):
+        # random states at K = 3..5 against the independent evaluator, with
+        # some exact-zero probabilities so the floor enters the prefix sums;
+        # one scorer serves every state of a table, as in the sampler
+        rng = np.random.default_rng(21)
+        for k in (3, 4, 5):
+            for _ in range(4):
+                n_frames = int(rng.integers(k, 31))
+                probs = rng.dirichlet(np.ones(k), size=n_frames)
+                probs[rng.random(probs.shape) < 0.15] = 0.0
+                m = MallowsModel(k, rng.uniform(0.0, 2.0, size=k - 1))
+                lm = LengthModel(k, rng.dirichlet(np.ones(k)))
+                score = _joint_scorer(probs, m, lm, k)
+                for _ in range(25):
+                    n_seg = int(rng.integers(1, k + 1))
+                    present = rng.permutation(k)[:n_seg]
+                    cuts = np.sort(rng.choice(np.arange(1, n_frames), n_seg - 1, replace=False))
+                    lengths = np.diff(np.concatenate(([0], cuts, [n_frames])))
+                    seg = Segmentation(
+                        tuple(zip(present.tolist(), lengths.tolist())), k
+                    )
+                    got = score(seg.order, seg.lengths)
+                    want = oracle_log_joint(seg, probs, m.rho, lm.theta)
+                    assert got == pytest.approx(want, abs=1e-9)
+
+    def test_zero_theta_only_allows_unit_length(self):
+        probs = np.full((6, 3), 1.0 / 3)
+        m = MallowsModel.with_constant_rho(3, 0.5)
+        lm = LengthModel(3, np.array([0.5, 0.5, 0.0]))
+        grown = Segmentation(((0, 2), (2, 2), (1, 2)), 3)
+        assert segmentation_log_joint(grown, probs, m, lm) == -math.inf
+        unit = Segmentation(((0, 3), (2, 1), (1, 2)), 3)
+        value = segmentation_log_joint(unit, probs, m, lm)
+        assert value == pytest.approx(oracle_log_joint(unit, probs, m.rho, lm.theta), abs=1e-10)
+        # present labels without any length mass rule the state out entirely
+        massless = LengthModel(3, np.array([0.0, 0.0, 1.0]))
+        pair = Segmentation(((1, 1), (0, 1)), 3)
+        assert segmentation_log_joint(pair, probs[:2], m, massless) == -math.inf
+
+    def test_nan_prob_is_not_floored(self):
+        probs = np.array([[1.0, 0.0], [np.nan, 1.0], [1.0, 0.0]])
+        seg = Segmentation(((0, 3),), 2)
+        m = MallowsModel.with_constant_rho(2, 0.0)
+        lm = LengthModel.uniform(2)
+        assert math.isnan(segmentation_log_joint(seg, probs, m, lm))
+
+    def test_zero_prob_uses_floor(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         seg = Segmentation(((0, 3),), 2)
         m = MallowsModel.with_constant_rho(2, 0.0)
         lm = LengthModel.uniform(2)
-        reset_zero_prob_events()
         value = segmentation_log_joint(seg, probs, m, lm)
-        assert zero_prob_events() == 1
         assert np.isfinite(value)
         clean = segmentation_log_joint(
             seg, np.array([[1.0, 0.0], [1e-300, 1.0], [1.0, 0.0]]), m, lm
