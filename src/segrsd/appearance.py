@@ -182,11 +182,12 @@ def _features_of(video) -> np.ndarray:
     return video.features if hasattr(video, "features") else np.asarray(video, float)
 
 
-def _context_cache(params: AppearanceParams, feats: np.ndarray):
+def _context_cache(params: AppearanceParams, feats: np.ndarray, rows=slice(None)):
+    """Embedding chain and context over all of feats; phi is [emb, ctx] at rows."""
     acts = _embed_chain(params.layers[:-1], feats)
     emb = acts[-1]
     ctx = context_accumulate(emb, params.context_lambda)
-    return acts, emb, ctx, np.hstack([emb, ctx])
+    return acts, emb, ctx, np.hstack([emb[rows], ctx[rows]])
 
 
 def forward(params: AppearanceParams, video) -> np.ndarray:
@@ -208,21 +209,29 @@ def _embed_backward(layers, acts, d_embedding):
     return grads
 
 
-def softmax_cross_entropy(logits, labels, idx, weight: float = 1.0):
-    """weight * mean cross-entropy of softmax(logits[idx]) against labels[idx].
+def _selected_backward(layers, acts, lam, idx, d_phi):
+    """Backprop a gradient at rows idx (distinct frames) of [embedding, context].
 
-    Returns (loss, dlogits); dlogits has the shape of logits and is zero on
-    rows outside idx.
+    The context is causal, so acts need only reach frame max(idx).
     """
-    targets = np.asarray(labels, dtype=np.int64)[idx]
-    rows = np.arange(len(idx))
-    lp = log_softmax(logits[idx])
+    h = acts[-1].shape[1]
+    d = np.zeros((len(acts[-1]), 2 * h))
+    d[idx] = d_phi
+    return _embed_backward(layers, acts, d[:, :h] + context_backward(d[:, h:], lam))
+
+
+def softmax_cross_entropy(logits, labels, weight: float = 1.0):
+    """weight * mean cross-entropy of softmax(logits) against labels, row by row.
+
+    Returns (loss, dlogits); dlogits has the shape of logits.
+    """
+    targets = np.asarray(labels, dtype=np.int64)
+    rows = np.arange(len(targets))
+    lp = log_softmax(logits)
     loss = -weight * float(lp[rows, targets].mean())
-    dsel = np.exp(lp)
-    dsel[rows, targets] -= 1.0
-    dsel *= weight / len(idx)
-    dlogits = np.zeros_like(logits)
-    dlogits[idx] = dsel
+    dlogits = np.exp(lp)
+    dlogits[rows, targets] -= 1.0
+    dlogits *= weight / len(targets)
     return loss, dlogits
 
 
@@ -237,20 +246,20 @@ def cross_entropy_loss_and_grads(
     """Mean cross-entropy over the selected frames, with analytic gradients.
 
     Gradients flow through the context accumulator, so earlier frames of the
-    sequence contribute even when only later frames are selected. Returns
-    (loss, grads) with grads aligned to params.layers.
+    sequence contribute even when only later frames are selected. Frames
+    after the last selected one reach no loss, so the embedding and context
+    run through that frame only, and the head runs on the selected rows.
+    Returns (loss, grads) with grads aligned to params.layers.
     """
-    acts, emb, ctx, phi = _context_cache(params, feats)
+    idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
+    acts, _, _, phi = _context_cache(params, feats[:idx.max() + 1], idx)
     head = params.layers[-1]
     logits = phi @ head.weights.T + head.bias
-    idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
-    loss, dlogits = softmax_cross_entropy(logits, labels, idx, weight)
+    loss, dlogits = softmax_cross_entropy(logits, np.asarray(labels)[idx], weight)
 
     grad_head = [dlogits.T @ phi, dlogits.sum(axis=0)]
     dphi = dlogits @ head.weights
-    h = emb.shape[1]
-    d_emb = dphi[:, :h] + context_backward(dphi[:, h:], params.context_lambda)
-    grads = _embed_backward(params.layers[:-1], acts, d_emb)
+    grads = _selected_backward(params.layers[:-1], acts, params.context_lambda, idx, dphi)
     grads.append(grad_head)
     if l2_weight:
         loss = add_l2(params.layers, grads, loss, l2_weight)
@@ -290,8 +299,8 @@ def train_appearance(
 
     Batches come from `optim.minibatch_epochs`: frames drawn without
     replacement within each epoch, each touched video weighted equally and
-    run in full so context gradients stay exact. Deterministic given
-    (params, config, data).
+    run through its last selected frame, so context gradients stay exact.
+    Deterministic given (params, config, data).
     """
     for video in videos:
         if video.id not in labels:

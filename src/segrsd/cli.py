@@ -74,11 +74,19 @@ def _select_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,10 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=_positive_int, default=8)
     p.add_argument("--select", type=_select_window, default=(6, 8),
                    help="checkpoint selection window a:b")
-    p.add_argument("--sweeps", type=int, default=25)
-    p.add_argument("--epochs", type=int, default=5, help="classifier epochs per iteration")
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--tc-epochs", type=int, default=10, help="embedding warm-up epochs")
+    p.add_argument("--sweeps", type=_non_negative_int, default=25)
+    p.add_argument("--epochs", type=_non_negative_int, default=5,
+                   help="classifier epochs per iteration")
+    p.add_argument("--hidden", type=_positive_int, default=32)
+    p.add_argument("--tc-epochs", type=_non_negative_int, default=10,
+                   help="embedding warm-up epochs")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train-rsd", help="train a remaining-duration regressor")
@@ -119,9 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", choices=sorted(AUX_FLAG), default="none")
     p.add_argument("--loss", choices=("smoothl1", "corr"), default="smoothl1")
     p.add_argument("--checkpoint", help="segmentation checkpoint (required for --aux seg)")
-    p.add_argument("--epochs", type=int, default=None, help="default: pipeline preset")
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--k", type=int, default=10, help="classes for --aux uniform")
+    p.add_argument("--epochs", type=_non_negative_int, default=None,
+                   help="default: pipeline preset")
+    p.add_argument("--hidden", type=_positive_int, default=32)
+    p.add_argument("--k", type=_positive_int, default=10, help="classes for --aux uniform")
     p.add_argument("--aux-weight", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 
@@ -134,11 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baselines", help="run the aux-task x pipeline grid")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--repeats", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--aux-epochs", type=int, default=20,
+    p.add_argument("--repeats", type=_positive_int, default=4)
+    p.add_argument("--epochs", type=_non_negative_int, default=30)
+    p.add_argument("--hidden", type=_positive_int, default=32)
+    p.add_argument("--k", type=_positive_int, default=10)
+    p.add_argument("--aux-epochs", type=_non_negative_int, default=20,
                    help="epochs for training transfer sources")
     p.add_argument("--seed", type=int, default=0)
     return parser

@@ -33,10 +33,9 @@ import numpy as np
 from .appearance import (
     DenseLayer,
     TrainConfig,
-    _embed_backward,
     _embed_chain,
+    _selected_backward,
     context_accumulate,
-    context_backward,
     init_appearance,
     init_dense,
     softmax_cross_entropy,
@@ -301,59 +300,37 @@ def rsd_loss_and_grads(
 
     target_kind "duration" regresses scaled remaining minutes; "progress"
     regresses prog(t) directly (used to pretrain transfer embeddings).
-    Returns (loss, grads) with grads aligned to params.layer_list().
+    The embedding and context run through the last selected frame, the
+    heads on the selected rows only. Returns (loss, grads) with grads
+    aligned to params.layer_list().
     """
-    elapsed = video.elapsed_min()
-    acts, emb, inp, hidden, scaled = _rsd_cache(params, video.features, elapsed)
     idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
-    remaining = video.remaining_min()
+    acts = _embed_chain(params.embed, video.features[:idx.max() + 1])
+    emb = acts[-1]
+    ctx = context_accumulate(emb, params.context_lambda)
+    elapsed = video.elapsed_min()[idx]
+    remaining = video.remaining_min()[idx]
+    inp = np.hstack([emb[idx], ctx[idx], elapsed[:, None]])
+    hidden = np.tanh(inp @ params.head1.weights.T + params.head1.bias)
+    pred = (hidden @ params.head2.weights.T + params.head2.bias)[:, 0]
 
+    pi = np.ones(len(idx))
     if target_kind == "duration":
         target = corridor.scale * remaining
-        pred = scaled
-        minutes = scaled / params.output_scale
-        if loss_name == "smoothl1":
-            pi = np.ones(video.n_frames)
-        elif loss_name == "corr":
+        if loss_name == "corr":
+            minutes = pred / params.output_scale
             pi = np.asarray(
                 corridor_weight(minutes, elapsed, remaining, corridor), dtype=np.float64
             )
-        else:
+        elif loss_name != "smoothl1":
             raise ValueError(f"unknown loss {loss_name!r}")
     elif target_kind == "progress":
         target = progress(elapsed, remaining)
-        pred = scaled
-        pi = np.ones(video.n_frames)
     else:
         raise ValueError(f"unknown target kind {target_kind!r}")
 
-    per_frame = pi[idx] * smooth_l1(pred[idx], target[idx], corridor.beta)
-    loss = weight * float(np.mean(per_frame))
-    dpred = np.zeros(video.n_frames)
-    dpred[idx] = (
-        weight / len(idx) * pi[idx] * smooth_l1_grad(pred[idx], target[idx], corridor.beta)
-    )
-
-    d_emb_aux = None
-    aux_grad = None
-    if params.aux_head is not None and aux_target is not None:
-        z = emb @ params.aux_head.weights.T + params.aux_head.bias
-        if params.aux_kind == "classes":
-            aux_loss, dz = softmax_cross_entropy(z, aux_target, idx, aux_weight * weight)
-            loss += aux_loss
-        else:
-            zp = z[:, 0]
-            tgt = np.asarray(aux_target, dtype=np.float64)
-            loss += aux_weight * weight * float(
-                np.mean(smooth_l1(zp[idx], tgt[idx], corridor.beta))
-            )
-            dz = np.zeros_like(z)
-            dz[idx, 0] = (
-                aux_weight * weight / len(idx)
-                * smooth_l1_grad(zp[idx], tgt[idx], corridor.beta)
-            )
-        aux_grad = [dz.T @ emb, dz.sum(axis=0)]
-        d_emb_aux = dz @ params.aux_head.weights
+    loss = weight * float(np.mean(pi * smooth_l1(pred, target, corridor.beta)))
+    dpred = weight / len(idx) * pi * smooth_l1_grad(pred, target, corridor.beta)
 
     # backward through the duration head
     dhidden = dpred[:, None] * params.head2.weights
@@ -361,11 +338,25 @@ def rsd_loss_and_grads(
     dpre1 = dhidden * (1.0 - hidden * hidden)
     grad_h1 = [dpre1.T @ inp, dpre1.sum(axis=0)]
     dinp = dpre1 @ params.head1.weights
+
     h = emb.shape[1]
-    d_emb = dinp[:, :h] + context_backward(dinp[:, h:2 * h], params.context_lambda)
-    if d_emb_aux is not None:
-        d_emb = d_emb + d_emb_aux
-    grads = _embed_backward(params.embed, acts, d_emb)
+    aux_grad = None
+    if params.aux_head is not None and aux_target is not None:
+        z = emb[idx] @ params.aux_head.weights.T + params.aux_head.bias
+        tgt = np.asarray(aux_target)[idx]
+        aux_w = aux_weight * weight
+        if params.aux_kind == "classes":
+            aux_loss, dz = softmax_cross_entropy(z, tgt, aux_w)
+        else:
+            aux_loss = aux_w * float(np.mean(smooth_l1(z[:, 0], tgt, corridor.beta)))
+            dz = aux_w / len(idx) * smooth_l1_grad(z, tgt[:, None], corridor.beta)
+        loss += aux_loss
+        aux_grad = [dz.T @ inp[:, :h], dz.sum(axis=0)]
+        dinp[:, :h] += dz @ params.aux_head.weights
+
+    grads = _selected_backward(
+        params.embed, acts, params.context_lambda, idx, dinp[:, :2 * h]
+    )
     grads.append(grad_h1)
     grads.append(grad_h2)
     if aux_grad is not None:

@@ -50,6 +50,18 @@ def make_video(vid="v0", n_frames=20, n_features=4, seed=0, period=1.0, phases=N
     )
 
 
+def frame_subset(n_frames, kind):
+    """Sorted frame indices of one kind: "single" frame, an "early" subset
+    that ends well before the last frame, or None for "all" frames."""
+    if kind == "all":
+        return None
+    if kind == "single":
+        return np.array([n_frames // 3])
+    stop = max(1, n_frames // 2)
+    rng = np.random.default_rng(n_frames)
+    return np.sort(rng.choice(stop, size=max(1, stop // 4), replace=False))
+
+
 @pytest.fixture
 def tiny_corpus():
     videos = [make_video(f"v{i}", n_frames=15 + i, seed=i) for i in range(4)]

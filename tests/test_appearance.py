@@ -21,7 +21,7 @@ from segrsd.appearance import (
 from segrsd.core import VideoSequence
 from segrsd.errors import NumericalError
 
-from conftest import finite_difference_grads, grad_rel_error, make_video
+from conftest import finite_difference_grads, frame_subset, grad_rel_error, make_video
 
 
 class TestContextAccumulate:
@@ -160,6 +160,53 @@ class TestCrossEntropyGradients:
         probs = forward(params, feats)
         expected = -np.mean(np.log(probs[np.arange(10), labels]))
         assert full == pytest.approx(expected, rel=1e-12)
+
+
+class TestCrossEntropySelectedRows:
+    """Only the selected frames carry loss; the context stops at the last one."""
+
+    @staticmethod
+    def _setup(n_frames, seed=0):
+        rng = np.random.default_rng(seed)
+        params = init_appearance(rng, 3, [4], 3, 0.9)
+        feats = rng.standard_normal((n_frames, 3))
+        labels = rng.integers(0, 3, size=n_frames)
+        return params, feats, labels
+
+    @pytest.mark.parametrize("n_frames", [2, 181, 1800])
+    @pytest.mark.parametrize("subset", ["single", "early", "all"])
+    def test_loss_matches_forward_at_selected_rows(self, n_frames, subset):
+        idx = frame_subset(n_frames, subset)
+        params, feats, labels = self._setup(n_frames)
+        loss, _ = cross_entropy_loss_and_grads(params, feats, labels, idx, weight=0.4)
+        sel = np.arange(n_frames) if idx is None else idx
+        probs = forward(params, feats)
+        expected = -0.4 * np.mean(np.log(probs[sel, labels[sel]]))
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n_frames", [2, 181, 1800])
+    @pytest.mark.parametrize("subset", ["single", "early"])
+    def test_frames_after_last_selected_do_not_matter(self, n_frames, subset):
+        idx = frame_subset(n_frames, subset)
+        params, feats, labels = self._setup(n_frames)
+        loss1, grads1 = cross_entropy_loss_and_grads(params, feats, labels, idx)
+        stop = idx.max() + 1
+        feats[stop:] = np.random.default_rng(1).standard_normal(feats[stop:].shape)
+        loss2, grads2 = cross_entropy_loss_and_grads(params, feats, labels, idx)
+        assert loss1 == loss2
+        for g1, g2 in zip(grads1, grads2):
+            np.testing.assert_array_equal(g1[0], g2[0])
+            np.testing.assert_array_equal(g1[1], g2[1])
+
+    def test_subset_gradcheck(self):
+        idx = frame_subset(181, "early")
+        params, feats, labels = self._setup(181)
+        _, grads = cross_entropy_loss_and_grads(params, feats, labels, idx, weight=0.4)
+        num = finite_difference_grads(
+            lambda: cross_entropy_loss_and_grads(params, feats, labels, idx, weight=0.4)[0],
+            params.layers,
+        )
+        assert grad_rel_error(grads, num) < 1e-6
 
 
 class TestCoherenceLoss:

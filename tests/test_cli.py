@@ -170,6 +170,33 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("segment", "--hidden", "0"),
+        ("segment", "--sweeps", "-1"),
+        ("segment", "--tc-epochs", "-1"),
+        ("segment", "--epochs", "-1"),
+        ("train-rsd", "--hidden", "0"),
+        ("train-rsd", "--k", "0"),
+        ("train-rsd", "--epochs", "-1"),
+        ("baselines", "--hidden", "0"),
+        ("baselines", "--k", "0"),
+        ("baselines", "--epochs", "-1"),
+        ("baselines", "--aux-epochs", "-1"),
+        ("baselines", "--repeats", "0"),
+    ])
+    def test_usage_error_out_of_range_flag(self, workspace, capsys, command, flag, value):
+        # rejected while parsing: no training starts and no output is written
+        out = workspace / f"bad_{command}{flag}"
+        extra = ["--pipeline", "regularize", "--aux", "uniform"] if command == "train-rsd" else []
+        code = main([
+            command, "--corpus", str(workspace / "corpus"), "--out", str(out),
+            *extra, flag, value,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+        assert not out.exists()
+
     def test_data_error_missing_corpus(self, tmp_path, capsys):
         code = main([
             "segment", "--corpus", str(tmp_path / "nowhere"),
@@ -249,3 +276,37 @@ def test_benchmark_oracle_selftest():
     selftest = Path(__file__).parents[1] / "perfbench" / "selftest.py"
     done = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_benchmark_traced_names_present(monkeypatch):
+    # the benchmark's per-layer figures read spans of these package names
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import numpy as np
+    from layers import install
+    from spans import Tracer
+
+    from segrsd import appearance, rsd
+    from conftest import make_video
+
+    tracer = Tracer()
+    install(tracer)
+    try:
+        assert tracer.absent == []
+        rng = np.random.default_rng(0)
+        video = make_video(n_frames=12, n_features=3)
+        rsd.rsd_loss_and_grads(
+            rsd.init_rsd(rng, 3, hidden_dim=4, head_dim=3), video, "smoothl1",
+            rsd.CorridorParams(t_median=1.0), frame_indices=np.array([2, 5]),
+        )
+        appearance.cross_entropy_loss_and_grads(
+            appearance.init_appearance(rng, 3, [4], 2), video.features,
+            np.zeros(12, dtype=np.int64), np.array([2, 5]),
+        )
+    finally:
+        tracer.restore()
+    assert tracer.note_errors == set()
+    frames = {s.name: s.counts.get("frames") for s in tracer.spans}
+    assert frames == {
+        "rsd.rsd_loss_and_grads": 12,
+        "appearance.cross_entropy_loss_and_grads": 12,
+    }

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from segrsd.rsd import (
     train_rsd,
 )
 
-from conftest import finite_difference_grads, grad_rel_error, make_video
+from conftest import finite_difference_grads, frame_subset, grad_rel_error, make_video
 
 
 CORR = CorridorParams(t_median=40.0)
@@ -362,6 +364,109 @@ class TestGradients:
         video = make_video(n_frames=5, n_features=3)
         with pytest.raises(ValueError):
             rsd_loss_and_grads(params, video, "l2", CORR)
+
+
+class TestSelectedRows:
+    """Only the selected frames carry loss; the context stops at the last one."""
+
+    # (loss, aux kind, target kind)
+    CASES = [
+        ("smoothl1", "none", "duration"),
+        ("corr", "none", "duration"),
+        ("smoothl1", "classes", "duration"),
+        ("corr", "progress", "duration"),
+        ("smoothl1", "none", "progress"),
+    ]
+
+    @staticmethod
+    def _setup(n_frames, aux_kind, target_kind, seed=0):
+        rng = np.random.default_rng(seed)
+        params = init_rsd(
+            rng, 3, hidden_dim=5, head_dim=4, aux_kind=aux_kind,
+            aux_dim={"none": 0, "classes": 4, "progress": 1}[aux_kind],
+            output_scale=1.0 if target_kind == "progress" else 0.05,
+        )
+        video = make_video(n_frames=n_frames, n_features=3, seed=seed, period=30.0)
+        aux_target = None
+        if aux_kind == "classes":
+            aux_target = rng.integers(0, 4, size=n_frames)
+        elif aux_kind == "progress":
+            aux_target = progress(video.elapsed_min(), video.remaining_min())
+        return params, video, aux_target
+
+    @staticmethod
+    def _call(params, video, loss, aux_target, target_kind, idx):
+        return rsd_loss_and_grads(
+            params, video, loss, CORR, frame_indices=idx, aux_target=aux_target,
+            aux_weight=0.7, weight=0.4, target_kind=target_kind,
+        )
+
+    @staticmethod
+    def _reference_loss(params, video, loss, aux_target, target_kind, idx):
+        """The same loss from rsd_forward over every frame, then the selected rows."""
+        sel = slice(None) if idx is None else idx
+        minutes = rsd_forward(params, video)
+        elapsed, remaining = video.elapsed_min(), video.remaining_min()
+        if target_kind == "progress":
+            target = progress(elapsed, remaining)
+        else:
+            target = CORR.scale * remaining
+        pi = (corridor_weight(minutes, elapsed, remaining, CORR)
+              if loss == "corr" else np.ones(len(minutes)))
+        per = pi * smooth_l1(params.output_scale * minutes, target)
+        out = 0.4 * np.mean(per[sel])
+        if params.aux_head is not None:
+            emb = np.tanh(video.features @ params.embed[0].weights.T + params.embed[0].bias)
+            z = emb @ params.aux_head.weights.T + params.aux_head.bias
+            if params.aux_kind == "classes":
+                logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                aux = -logp[np.arange(len(z)), aux_target]
+            else:
+                aux = smooth_l1(z[:, 0], aux_target)
+            out += 0.7 * 0.4 * np.mean(aux[sel])
+        return out
+
+    @pytest.mark.parametrize("n_frames", [2, 181, 1800])
+    @pytest.mark.parametrize("subset", ["single", "early", "all"])
+    def test_loss_matches_forward_at_selected_rows(self, n_frames, subset):
+        idx = frame_subset(n_frames, subset)
+        for seed, (loss, aux_kind, target_kind) in enumerate(self.CASES):
+            params, video, aux_target = self._setup(n_frames, aux_kind, target_kind, seed)
+            got, _ = self._call(params, video, loss, aux_target, target_kind, idx)
+            want = self._reference_loss(params, video, loss, aux_target, target_kind, idx)
+            assert got == pytest.approx(want, rel=1e-12), (loss, aux_kind, target_kind)
+
+    @pytest.mark.parametrize("n_frames", [2, 181, 1800])
+    @pytest.mark.parametrize("subset", ["single", "early"])
+    def test_frames_after_last_selected_do_not_matter(self, n_frames, subset):
+        idx = frame_subset(n_frames, subset)
+        stop = idx.max() + 1
+        for seed, (loss, aux_kind, target_kind) in enumerate(self.CASES):
+            params, video, aux_target = self._setup(n_frames, aux_kind, target_kind, seed)
+            loss1, grads1 = self._call(params, video, loss, aux_target, target_kind, idx)
+            feats = video.features.copy()
+            feats[stop:] = np.random.default_rng(seed).standard_normal(feats[stop:].shape)
+            changed = dataclasses.replace(video, features=feats)
+            loss2, grads2 = self._call(params, changed, loss, aux_target, target_kind, idx)
+            assert loss1 == loss2
+            for g1, g2 in zip(grads1, grads2):
+                np.testing.assert_array_equal(g1[0], g2[0])
+                np.testing.assert_array_equal(g1[1], g2[1])
+
+    def test_subset_gradcheck(self):
+        # the corridor weight carries no gradient, so corr is left to
+        # TestGradients, whose oracle freezes it
+        idx = frame_subset(181, "early")
+        for seed, (loss, aux_kind, target_kind) in enumerate(self.CASES):
+            if loss == "corr":
+                continue
+            params, video, aux_target = self._setup(181, aux_kind, target_kind, seed)
+            _, grads = self._call(params, video, loss, aux_target, target_kind, idx)
+            num = finite_difference_grads(
+                lambda: self._call(params, video, loss, aux_target, target_kind, idx)[0],
+                params.layer_list(),
+            )
+            assert grad_rel_error(grads, num) < 1e-6, (aux_kind, target_kind)
 
 
 def _rsd_corpus(seed=0, n_videos=8, period=6.0):
