@@ -23,6 +23,8 @@ logger = logging.getLogger("segrsd")
 # train_appearance logs a warning when training raises the mean cross-entropy
 # by more than this
 CE_TOLERANCE = 0.05
+# decay of the causal context of every model built from scratch
+CONTEXT_LAMBDA = 0.9
 
 
 @dataclass
@@ -61,7 +63,7 @@ class AppearanceParams:
 
     layers: list[DenseLayer]
     trainable_mask: list[bool]
-    context_lambda: float = 0.9
+    context_lambda: float = CONTEXT_LAMBDA
 
     def __post_init__(self):
         if len(self.layers) < 2:
@@ -73,10 +75,6 @@ class AppearanceParams:
         emb_dim = self.layers[-2].out_dim
         if self.layers[-1].in_dim != 2 * emb_dim:
             raise ValueError("head input width must be twice the embedding width")
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.layers[-2].out_dim
 
     @property
     def n_classes(self) -> int:
@@ -99,7 +97,7 @@ def init_appearance(
     n_features: int,
     hidden_dims: Sequence[int],
     n_classes: int,
-    context_lambda: float = 0.9,
+    context_lambda: float = CONTEXT_LAMBDA,
 ) -> AppearanceParams:
     dims = [n_features, *hidden_dims]
     layers = [init_dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +90,13 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="segrsd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -133,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: pipeline preset")
     p.add_argument("--hidden", type=_positive_int, default=32)
     p.add_argument("--k", type=_positive_int, default=10, help="classes for --aux uniform")
-    p.add_argument("--aux-weight", type=float, default=1.0)
+    p.add_argument("--aux-weight", type=_non_negative_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="report MAE and segmentation accuracy")
@@ -206,6 +214,23 @@ def _cmd_segment(args) -> int:
     return EXIT_OK
 
 
+def _aux_source(args, corpus, aux, corridor, epochs, *seed_key) -> AuxInit:
+    """Train the transferable embedding of a uniform, phase or progress aux task."""
+    config = TrainConfig(epochs=epochs, seed=derive_seed(args.seed, "aux", aux, *seed_key))
+    return build_aux_init(
+        corpus, aux, n_subactivities=args.k, hidden_dim=args.hidden,
+        config=config, corridor=corridor,
+    )
+
+
+def _model_mae(params, videos) -> float:
+    return mae_minutes({v.id: predict_video(params, v) for v in videos}, videos)
+
+
+def _naive_mae(videos, corridor) -> float:
+    return mae_minutes({v.id: naive_prediction(v.elapsed_min(), corridor) for v in videos}, videos)
+
+
 def _prepare_init(args, corpus, pipeline, aux, corridor, epochs):
     if aux == "none":
         return None
@@ -216,14 +241,7 @@ def _prepare_init(args, corpus, pipeline, aux, corridor, epochs):
         return AuxInit.from_checkpoint(ckpt)
     if pipeline == "regularization":
         return None  # joint training resolves its own targets
-    config = TrainConfig(
-        learning_rate=1e-2, epochs=epochs,
-        seed=derive_seed(args.seed, "aux", aux),
-    )
-    return build_aux_init(
-        corpus, aux, n_subactivities=args.k, hidden_dim=args.hidden,
-        config=config, corridor=corridor,
-    )
+    return _aux_source(args, corpus, aux, corridor, epochs)
 
 
 def _cmd_train_rsd(args) -> int:
@@ -243,10 +261,8 @@ def _cmd_train_rsd(args) -> int:
         n_subactivities=args.k,
     )
     test = corpus.by_split("test")
-    preds = {v.id: predict_video(params, v) for v in test}
-    test_mae = mae_minutes(preds, test) if test else float("nan")
-    naive = {v.id: naive_prediction(v.elapsed_min(), corridor) for v in test}
-    naive_mae = mae_minutes(naive, test) if test else float("nan")
+    test_mae = _model_mae(params, test) if test else float("nan")
+    naive_mae = _naive_mae(test, corridor) if test else float("nan")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = f"rsd_{args.pipeline}_{args.aux}_{args.loss}.ckpt"
@@ -265,11 +281,6 @@ def _cmd_train_rsd(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_kind(path) -> int:
-    kind, _, _ = _read_container(path)
-    return kind
-
-
 def _cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     videos = corpus.by_split(args.split)
@@ -279,7 +290,7 @@ def _cmd_evaluate(args) -> int:
     cells: dict[tuple[str, str], list[float]] = {}
     seg_lines: list[str] = []
     for model_path in args.models:
-        if _checkpoint_kind(model_path) == _KIND_SEG:
+        if _read_container(model_path)[0] == _KIND_SEG:
             ckpt = load_seg_checkpoint(model_path, expect_feature_dim=corpus.feature_dim)
             seg_lines.append(f"seg_tc={ckpt.tc_score:.6f}")
             with_phases = {
@@ -292,12 +303,9 @@ def _cmd_evaluate(args) -> int:
                 seg_lines.append(f"seg_label_acc={acc:.4f}")
             continue
         params, meta = load_rsd_checkpoint(model_path, expect_feature_dim=corpus.feature_dim)
-        preds = {v.id: predict_video(params, v) for v in videos}
-        mae = mae_minutes(preds, videos)
         key = (meta.get("aux", "none"), meta.get("pipeline", "single_task"))
-        cells.setdefault(key, []).append(mae)
-    naive = {v.id: naive_prediction(v.elapsed_min(), corridor) for v in videos}
-    naive_mae = mae_minutes(naive, videos)
+        cells.setdefault(key, []).append(_model_mae(params, videos))
+    naive_mae = _naive_mae(videos, corridor)
 
     rows = [a for a in AUX_TASKS if any(k[0] == a for k in cells)]
     cols = [p for p in PIPELINE_FLAG.values() if any(k[1] == p for k in cells)]
@@ -318,22 +326,15 @@ def _cmd_evaluate(args) -> int:
 def _cmd_baselines(args) -> int:
     corpus = load_corpus(args.corpus)
     corridor = CorridorParams.from_corpus(corpus)
+    test = corpus.by_split("test")
     aux_rows = ("none", "uniform", "progress", "phase")
     pipelines = tuple(PIPELINE_FLAG.values())
     inits: dict[tuple[str, int], AuxInit] = {}
 
     def init_for(aux: str, repeat: int) -> AuxInit:
-        key = (aux, repeat)
-        if key not in inits:
-            config = TrainConfig(
-                learning_rate=1e-2, epochs=args.aux_epochs,
-                seed=derive_seed(args.seed, "aux", aux, repeat),
-            )
-            inits[key] = build_aux_init(
-                corpus, aux, n_subactivities=args.k, hidden_dim=args.hidden,
-                config=config, corridor=corridor,
-            )
-        return inits[key]
+        if (aux, repeat) not in inits:
+            inits[aux, repeat] = _aux_source(args, corpus, aux, corridor, args.aux_epochs, repeat)
+        return inits[aux, repeat]
 
     reports = {}
     for loss in ("smoothl1", "corr"):
@@ -358,15 +359,11 @@ def _cmd_baselines(args) -> int:
                         hidden_dim=args.hidden, n_subactivities=args.k,
                         verbose=False,
                     )
-                    test = corpus.by_split("test")
-                    preds = {v.id: predict_video(params, v) for v in test}
-                    maes.append(mae_minutes(preds, test))
+                    maes.append(_model_mae(params, test))
                 cells[(aux, pipeline)] = summarize(maes)
         reports[loss] = cells
 
-    test = corpus.by_split("test")
-    naive = {v.id: naive_prediction(v.elapsed_min(), corridor) for v in test}
-    naive_mae = mae_minutes(naive, test)
+    naive_mae = _naive_mae(test, corridor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chunks = []

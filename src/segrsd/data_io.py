@@ -208,8 +208,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.k_true < 1 or self.n_features < self.k_true:
             raise ValueError("need n_features >= k_true >= 1")
-        if self.n_videos < 1 or self.duration_mean_min <= 0:
-            raise ValueError("need at least one video with positive duration")
+        if self.n_videos < 1 or not 0 < self.duration_mean_min < np.inf:
+            raise ValueError("need at least one video with positive, finite duration")
         if not 0.0 <= self.skip_prob < 1.0 or not 0.0 <= self.duration_jitter < 1.0:
             raise ValueError("skip_prob and duration_jitter must lie in [0, 1)")
 

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .appearance import (
+    CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
     _embed_chain,
@@ -96,11 +97,15 @@ class CorridorParams:
             raise ValueError("corridor parameters must be positive")
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus, scale: float = 0.05, beta: float = 1.0):
+    def from_corpus(cls, corpus: Corpus):
         durations = [v.duration_min for v in corpus.by_split("train")]
         if not durations:
             raise ValueError("corpus has no training videos")
-        return cls(float(np.median(durations)), scale, beta)
+        return cls(float(np.median(durations)))
+
+
+def _progress_of(video: VideoSequence) -> np.ndarray:
+    return progress(video.elapsed_min(), video.remaining_min())
 
 
 def naive_prediction(t_elapsed, params: CorridorParams):
@@ -200,10 +205,6 @@ class RsdParams:
             layers.append(self.aux_head)
         return layers
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.embed[-1].out_dim
-
     def copy(self) -> "RsdParams":
         return RsdParams(
             [layer.copy() for layer in self.embed],
@@ -236,7 +237,7 @@ def init_rsd(
     n_features: int,
     hidden_dim: int = 32,
     head_dim: int = 16,
-    context_lambda: float = 0.9,
+    context_lambda: float = CONTEXT_LAMBDA,
     aux_kind: str = "none",
     aux_dim: int = 0,
     output_scale: float = 0.05,
@@ -257,32 +258,29 @@ def init_rsd(
     )
 
 
-def _rsd_cache(params: RsdParams, feats: np.ndarray, elapsed: np.ndarray):
+def _duration_head(params: RsdParams, feats: np.ndarray, elapsed: np.ndarray,
+                   rows=slice(None)):
+    """Embedding and context over all of feats; (acts, inp, hidden, scaled) at rows.
+
+    elapsed holds the rows' minutes; scaled is the output before output_scale.
+    """
     acts = _embed_chain(params.embed, feats)
     emb = acts[-1]
     ctx = context_accumulate(emb, params.context_lambda)
-    inp = np.hstack([emb, ctx, elapsed[:, None]])
+    inp = np.hstack([emb[rows], ctx[rows], elapsed[:, None]])
     hidden = np.tanh(inp @ params.head1.weights.T + params.head1.bias)
     scaled = hidden @ params.head2.weights.T + params.head2.bias
-    return acts, emb, inp, hidden, scaled[:, 0]
+    return acts, inp, hidden, scaled[:, 0]
 
 
-def rsd_forward(params: RsdParams, video: VideoSequence, t: int | None = None):
-    """Predicted remaining minutes, full sequence or a single frame index."""
-    _, _, _, _, scaled = _rsd_cache(params, video.features, video.elapsed_min())
-    minutes = scaled / params.output_scale
-    return minutes if t is None else float(minutes[t])
+def rsd_forward(params: RsdParams, video: VideoSequence) -> np.ndarray:
+    """Predicted remaining minutes at every frame."""
+    _, _, _, scaled = _duration_head(params, video.features, video.elapsed_min())
+    return scaled / params.output_scale
 
 
 def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
     return rsd_forward(params, video)
-
-
-def _aux_output(params: RsdParams, emb: np.ndarray):
-    if params.aux_head is None:
-        return None
-    z = emb @ params.aux_head.weights.T + params.aux_head.bias
-    return z if params.aux_kind == "classes" else z[:, 0]
 
 
 def rsd_loss_and_grads(
@@ -305,14 +303,12 @@ def rsd_loss_and_grads(
     aligned to params.layer_list().
     """
     idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
-    acts = _embed_chain(params.embed, video.features[:idx.max() + 1])
-    emb = acts[-1]
-    ctx = context_accumulate(emb, params.context_lambda)
     elapsed = video.elapsed_min()[idx]
     remaining = video.remaining_min()[idx]
-    inp = np.hstack([emb[idx], ctx[idx], elapsed[:, None]])
-    hidden = np.tanh(inp @ params.head1.weights.T + params.head1.bias)
-    pred = (hidden @ params.head2.weights.T + params.head2.bias)[:, 0]
+    acts, inp, hidden, pred = _duration_head(
+        params, video.features[:idx.max() + 1], elapsed, idx
+    )
+    emb = acts[-1]
 
     pi = np.ones(len(idx))
     if target_kind == "duration":
@@ -399,17 +395,15 @@ def _resolve_aux_targets(
         targets = {v.id: v.phase_labels for v in videos}
         return targets, "classes", int(max(t.max() for t in targets.values())) + 1
     if task == "progress":
-        targets = {
-            v.id: progress(v.elapsed_min(), v.remaining_min()) for v in videos
-        }
-        return targets, "progress", 1
+        return {v.id: _progress_of(v) for v in videos}, "progress", 1
     raise ValueError(f"aux task {task!r} has no targets")
 
 
-def mae_of(params: RsdParams, videos: Sequence[VideoSequence]) -> float:
-    """Macro-averaged MAE in minutes (per-video mean first)."""
+def mae_of(params: RsdParams, videos: Sequence[VideoSequence],
+           target=VideoSequence.remaining_min) -> float:
+    """Macro-averaged MAE (per-video mean first) of the output against target(video)."""
     errs = [
-        float(np.mean(np.abs(predict_video(params, v) - v.remaining_min())))
+        float(np.mean(np.abs(predict_video(params, v) - target(v))))
         for v in videos
     ]
     return float(np.mean(errs))
@@ -417,14 +411,12 @@ def mae_of(params: RsdParams, videos: Sequence[VideoSequence]) -> float:
 
 def train_rsd(
     corpus: Corpus,
-    init: AuxInit | SegCheckpoint | None,
+    init: AuxInit | None,
     mode: PipelineMode,
     loss_name: str,
     config: TrainConfig,
     corridor: CorridorParams,
     hidden_dim: int = 32,
-    head_dim: int = 16,
-    context_lambda: float = 0.9,
     aux_weight: float = 1.0,
     n_subactivities: int = 10,
     target_kind: str = "duration",
@@ -438,8 +430,6 @@ def train_rsd(
     """
     if loss_name not in LOSSES:
         raise ValueError(f"unknown loss {loss_name!r}")
-    if isinstance(init, SegCheckpoint):
-        init = AuxInit.from_checkpoint(init)
     transfer = mode.pipeline in ("feature_extraction", "pretraining")
     if transfer and init is None:
         raise ValueError(f"{mode.pipeline} needs an upstream embedding to transfer")
@@ -454,8 +444,7 @@ def train_rsd(
         rng,
         corpus.feature_dim,
         hidden_dim=hidden_dim,
-        head_dim=head_dim,
-        context_lambda=init.context_lambda if transfer else context_lambda,
+        context_lambda=init.context_lambda if transfer else CONTEXT_LAMBDA,
         aux_kind=aux_kind,
         aux_dim=aux_dim,
         output_scale=1.0 if target_kind == "progress" else corridor.scale,
@@ -478,6 +467,7 @@ def train_rsd(
     history: list[tuple[int, float, float]] = []
     best = params.copy()
     best_mae = np.inf
+    val_target = _progress_of if target_kind == "progress" else VideoSequence.remaining_min
 
     def video_loss(vi, idx, weight):
         video = train_videos[vi]
@@ -496,10 +486,7 @@ def train_rsd(
     )
     try:
         for epoch, loss in enumerate(epochs):
-            if target_kind == "progress":
-                val_mae = _progress_mae(params, val_videos or train_videos)
-            else:
-                val_mae = mae_of(params, val_videos or train_videos)
+            val_mae = mae_of(params, val_videos or train_videos, val_target)
             history.append((epoch, loss, val_mae))
             if verbose:
                 print(f"epoch={epoch} loss={loss:.6f} val_mae={val_mae:.6f}")
@@ -511,23 +498,12 @@ def train_rsd(
     return best, history
 
 
-def _progress_mae(params: RsdParams, videos: Sequence[VideoSequence]) -> float:
-    errs = []
-    for v in videos:
-        _, _, _, _, scaled = _rsd_cache(params, v.features, v.elapsed_min())
-        target = progress(v.elapsed_min(), v.remaining_min())
-        errs.append(float(np.mean(np.abs(scaled - target))))
-    return float(np.mean(errs))
-
-
 def build_aux_init(
     corpus: Corpus,
     aux_task: str,
     checkpoint: SegCheckpoint | None = None,
     n_subactivities: int = 10,
     hidden_dim: int = 32,
-    head_dim: int = 16,
-    context_lambda: float = 0.9,
     config: TrainConfig | None = None,
     corridor: CorridorParams | None = None,
 ) -> AuxInit:
@@ -545,18 +521,16 @@ def build_aux_init(
     if aux_task in ("uniform", "phase"):
         labels, _, n_classes = _resolve_aux_targets(corpus, aux_task, None, n_subactivities)
         params = init_appearance(
-            np.random.default_rng(config.seed), corpus.feature_dim,
-            [hidden_dim], n_classes, context_lambda,
+            np.random.default_rng(config.seed), corpus.feature_dim, [hidden_dim], n_classes,
         )
         params = train_appearance(videos, labels, params, config)
-        return AuxInit([l.copy() for l in params.layers[:-1]], context_lambda, labels)
+        return AuxInit([l.copy() for l in params.layers[:-1]], params.context_lambda, labels)
     if aux_task == "progress":
         corridor = corridor or CorridorParams.from_corpus(corpus)
         mode = PipelineMode("single_task", "none")
         params, _ = train_rsd(
             corpus, None, mode, "smoothl1", config, corridor,
-            hidden_dim=hidden_dim, head_dim=head_dim,
-            context_lambda=context_lambda, target_kind="progress", verbose=False,
+            hidden_dim=hidden_dim, target_kind="progress", verbose=False,
         )
-        return AuxInit([l.copy() for l in params.embed], context_lambda, None)
+        return AuxInit([l.copy() for l in params.embed], params.context_lambda, None)
     raise ValueError(f"aux task {aux_task!r} does not define a transfer")

@@ -5,12 +5,18 @@ staged layer mask, refreshes the order/length models from the current
 segmentations, resamples every training video's segmentation, and records a
 checkpoint scored by temporal coherence (TC). The best checkpoint inside a
 trailing iteration window is the one handed to downstream training.
+
+Fixed settings: the Mallows prior holds NU0 pseudo-observations of R0
+inversions per slot (R0 also disperses the initial orders), the length model
+adds ALPHA0 pseudo-counts per subactivity, the classifier trains with
+TrainConfig's defaults at each stage's epochs and seed, and the sampler
+proposes a birth or death with probability temporal.BIRTH_DEATH_PROB.
 """
 from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +49,10 @@ logger = logging.getLogger("segrsd")
 # the exact TC search takes O(2^n * n) time and O(2^n) memory for n labels
 MAX_COHERENT_LABELS = 16
 
+NU0 = 0.1
+R0 = 1.0
+ALPHA0 = 1.0
+
 
 @dataclass
 class SegTrainConfig:
@@ -51,20 +61,9 @@ class SegTrainConfig:
     epochs_per_iteration: int = 5
     selection_window: tuple[int, int] = (6, 8)
     sweeps_per_iteration: int = 25
-    birth_death_prob: float = 0.1
     hidden_dim: int = 32
-    context_lambda: float = 0.9
     tc_pretrain_epochs: int = 10
-    nu0: float = 0.1
-    r0: float = 1.0
-    alpha0: float = 1.0
     seed: int = 0
-    appearance: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            learning_rate=1e-2, epochs=5, batch_size=384, l2_weight=1e-4,
-            optimizer="adam", seed=0,
-        )
-    )
 
     def __post_init__(self):
         if self.n_subactivities > MAX_COHERENT_LABELS:
@@ -107,9 +106,9 @@ def _uniform_lengths(n_frames: int, n_parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_parts)]
 
 
-def init_labels(videos: Sequence, n_subactivities: int, rng, r0: float = 1.0) -> dict[str, Segmentation]:
-    """Uniform lengths; subactivity order drawn from the Mallows prior at rho = r0."""
-    prior = MallowsModel.with_constant_rho(n_subactivities, r0)
+def init_labels(videos: Sequence, n_subactivities: int, rng) -> dict[str, Segmentation]:
+    """Uniform lengths; subactivity order drawn from the Mallows prior at rho = R0."""
+    prior = MallowsModel.with_constant_rho(n_subactivities, R0)
     out = {}
     for video in videos:
         order = inversions_to_order(mallows_sample(prior, rng))
@@ -218,30 +217,27 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
     if not videos:
         raise ValueError("corpus has no training videos")
     k = config.n_subactivities
-    segs = init_labels(videos, k, derived_rng(config.seed, "init"), config.r0)
+    segs = init_labels(videos, k, derived_rng(config.seed, "init"))
     params = init_appearance(
         derived_rng(config.seed, "weights"),
         corpus.feature_dim,
         [config.hidden_dim],
         k,
-        config.context_lambda,
     )
     if config.tc_pretrain_epochs > 0:
-        pre_cfg = replace(
-            config.appearance,
+        pre_cfg = TrainConfig(
             epochs=config.tc_pretrain_epochs,
             seed=int(derived_rng(config.seed, "tc").integers(2 ** 31)),
         )
         params = tc_pretrain(videos, params, pre_cfg)
-    mallows = MallowsModel.with_constant_rho(k, config.r0, config.nu0, config.r0)
-    length_model = LengthModel.uniform(k, config.alpha0)
+    mallows = MallowsModel.with_constant_rho(k, R0, NU0, R0)
+    length_model = LengthModel.uniform(k, ALPHA0)
 
     checkpoints: list[SegCheckpoint] = []
     for iteration in range(1, config.iterations + 1):
         labels = {vid: segmentation_to_labels(seg) for vid, seg in segs.items()}
         params.trainable_mask = staged_mask(iteration, len(params.layers))
-        train_cfg = replace(
-            config.appearance,
+        train_cfg = TrainConfig(
             epochs=config.epochs_per_iteration,
             seed=int(derived_rng(config.seed, "train", iteration).integers(2 ** 31)),
         )
@@ -255,16 +251,15 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
         counts = np.zeros(k)
         for vid in labels:
             counts += np.bincount(labels[vid], minlength=k)
-        length_model = LengthModel(k, update_theta(counts, length_model), config.alpha0)
+        length_model = LengthModel(k, update_theta(counts, length_model), ALPHA0)
         observed = [partial_order_inversions(segs[v.id].order, k) for v in videos]
-        mallows = MallowsModel(k, estimate_rho(observed, mallows), config.nu0, config.r0)
+        mallows = MallowsModel(k, estimate_rho(observed, mallows), NU0, R0)
 
         segs = {
             v.id: sample_segmentation(
                 probs[v.id], mallows, length_model, segs[v.id],
                 derived_rng(config.seed, "sample", iteration, v.id),
                 sweeps=config.sweeps_per_iteration,
-                birth_death_prob=config.birth_death_prob,
             )
             for v in videos
         }

@@ -22,6 +22,7 @@ import numpy as np
 from .core import Segmentation
 
 LOG_FLOOR = -745.0  # below log(smallest subnormal double); used for zero probabilities
+BIRTH_DEATH_PROB = 0.1  # chance per sweep of a birth/death proposal
 
 @dataclass
 class MallowsModel:
@@ -290,13 +291,12 @@ def sample_segmentation(
     current: Segmentation,
     rng: np.random.Generator,
     sweeps: int = 25,
-    birth_death_prob: float = 0.1,
 ) -> Segmentation:
     """Metropolis-within-Gibbs resampling of one video's segmentation.
 
     Each sweep proposes, in order: a shift of every internal boundary by
     delta in {-w..w}\\{0} with w = max(1, T // 50); one swap of a random
-    adjacent segment pair; and, with probability birth_death_prob, a birth
+    adjacent segment pair; and, with probability BIRTH_DEATH_PROB, a birth
     (insert an absent subactivity as a unit segment, taking a frame from the
     segment it displaces) or death (remove a unit segment, returning its
     frame) with the matching Hastings correction.
@@ -339,7 +339,7 @@ def sample_segmentation(
                 order, lengths, cur = cand_order, cand_lengths, new
 
         # birth/death of unit-length segments
-        if rng.random() < birth_death_prob:
+        if rng.random() < BIRTH_DEATH_PROB:
             if rng.random() < 0.5:
                 result = _propose_birth(order, lengths, n_sub, score, cur, rng)
             else:

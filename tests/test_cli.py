@@ -178,6 +178,8 @@ class TestExitCodes:
         ("train-rsd", "--hidden", "0"),
         ("train-rsd", "--k", "0"),
         ("train-rsd", "--epochs", "-1"),
+        ("train-rsd", "--aux-weight", "nan"),
+        ("train-rsd", "--aux-weight", "-5"),
         ("baselines", "--hidden", "0"),
         ("baselines", "--k", "0"),
         ("baselines", "--epochs", "-1"),
@@ -195,6 +197,13 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_usage_error_non_finite_duration(self, tmp_path, capsys, duration):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), "--duration-mean", duration]) == 1
+        assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_data_error_missing_corpus(self, tmp_path, capsys):
@@ -269,6 +278,28 @@ def test_no_global_statements():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def test_no_unreferenced_definitions():
+    # dead-code guard: every function, class and method the package defines is
+    # referenced somewhere in it (an import, so an export from __init__, counts);
+    # dunders are exempt
+    defined, used = {}, set()
+    for path in sorted(Path(segrsd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        f"{where} {name}" for name, where in sorted(defined.items())
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unused == []
 
 
 def test_benchmark_oracle_selftest():

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from segrsd import rsd
 from segrsd.appearance import TrainConfig, init_dense
 from segrsd.core import Corpus, VideoSequence
 from segrsd.errors import DataFormatError
+from segrsd.optim import minibatch_epochs
 from segrsd.rsd import (
     AuxInit,
     CorridorParams,
@@ -19,6 +21,7 @@ from segrsd.rsd import (
     init_rsd,
     mae_of,
     naive_prediction,
+    predict_video,
     progress,
     rsd_forward,
     rsd_loss_and_grads,
@@ -226,12 +229,6 @@ class TestForward:
         params.head2.bias[:] = 0.0
         video = make_video(n_frames=12, n_features=3)
         np.testing.assert_array_equal(rsd_forward(params, video), np.zeros(12))
-
-    def test_single_frame_indexing(self):
-        params = init_rsd(np.random.default_rng(1), 3)
-        video = make_video(n_frames=9, n_features=3)
-        full = rsd_forward(params, video)
-        assert rsd_forward(params, video, t=4) == pytest.approx(full[4])
 
     def test_causality(self):
         params = init_rsd(np.random.default_rng(2), 3)
@@ -624,13 +621,44 @@ class TestTrainRsd:
         for la, lb in zip(a.layer_list(), b.layer_list()):
             np.testing.assert_array_equal(la.weights, lb.weights)
 
+    def test_progress_history_scores_progress(self, monkeypatch):
+        # a progress model's val_mae is its MAE against prog(t), per epoch
+        corpus = _rsd_corpus()
+        snapshots = []
+
+        def spy(layers, *args):
+            for loss in minibatch_epochs(layers, *args):
+                snapshots.append([layer.copy() for layer in layers])
+                yield loss
+
+        monkeypatch.setattr(rsd, "minibatch_epochs", spy)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=3, seed=2)
+        params, hist = train_rsd(
+            corpus, None, PipelineMode("single_task", "none"), "smoothl1", cfg,
+            CorridorParams.from_corpus(corpus), target_kind="progress", verbose=False,
+        )
+        assert params.output_scale == 1.0
+        assert len(hist) == len(snapshots) == 3
+        val = corpus.by_split("val")
+        for (_, _, val_mae), layers in zip(hist, snapshots):
+            model = params.copy()
+            for dst, src in zip(model.layer_list(), layers):
+                dst.weights, dst.bias = src.weights, src.bias
+            expected = np.mean([
+                np.mean(np.abs(
+                    predict_video(model, v) - progress(v.elapsed_min(), v.remaining_min())
+                ))
+                for v in val
+            ])
+            assert val_mae == pytest.approx(expected, rel=1e-12)
+
     def test_learns_decodable_signal(self):
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=120, batch_size=384, seed=0)
         params, _ = train_rsd(
             corpus, None, PipelineMode("single_task", "none"),
-            "smoothl1", cfg, corr, hidden_dim=8, head_dim=8, verbose=False,
+            "smoothl1", cfg, corr, hidden_dim=8, verbose=False,
         )
         test_videos = corpus.by_split("test")
         trained = mae_of(params, test_videos)
@@ -650,6 +678,7 @@ class TestBuildAuxInit:
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, seed=0)
         init = build_aux_init(tiny_corpus, "uniform", n_subactivities=3,
                               hidden_dim=6, config=cfg)
+        assert init.context_lambda == 0.9
         assert len(init.embed) == 1
         assert init.embed[0].out_dim == 6
         assert set(init.labels) == {"v0", "v1"}
@@ -657,10 +686,10 @@ class TestBuildAuxInit:
 
     def test_progress_trains_regressor(self, tiny_corpus):
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, seed=0)
-        init = build_aux_init(tiny_corpus, "progress", hidden_dim=6, head_dim=4,
-                              config=cfg)
+        init = build_aux_init(tiny_corpus, "progress", hidden_dim=6, config=cfg)
         assert init.labels is None
         assert init.embed[0].out_dim == 6
+        assert init.context_lambda == 0.9
 
     def test_unknown_task(self, tiny_corpus):
         with pytest.raises(ValueError):

@@ -225,8 +225,7 @@ class TestRun:
         )
         ckpts = run(corpus, config, verbose=False)
         fresh = init_appearance(
-            derived_rng(config.seed, "weights"), corpus.feature_dim,
-            [config.hidden_dim], 2, config.context_lambda,
+            derived_rng(config.seed, "weights"), corpus.feature_dim, [config.hidden_dim], 2,
         )
         trained = ckpts[0].appearance
         np.testing.assert_array_equal(trained.layers[0].weights, fresh.layers[0].weights)
