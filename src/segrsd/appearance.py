@@ -141,8 +141,6 @@ def context_accumulate(features, lam: float) -> np.ndarray:
         raise ValueError(f"expected (frames, dims) input, got shape {feats.shape}")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda outside [0, 1): {lam}")
-    if lam == 0.0:
-        return feats.copy()
     out = (1.0 - lam) * feats
     out[:1] = feats[:1]  # c_0 copies f_0 with unit weight
     return _decay_scan(out, lam)
@@ -150,8 +148,6 @@ def context_accumulate(features, lam: float) -> np.ndarray:
 
 def context_backward(grad_ctx: np.ndarray, lam: float) -> np.ndarray:
     """Adjoint of context_accumulate: gradient w.r.t. the raw inputs."""
-    if lam == 0.0:
-        return grad_ctx.copy()
     acc = _decay_scan(np.array(grad_ctx[::-1], dtype=np.float64), lam)[::-1]
     out = (1.0 - lam) * acc
     out[0] = acc[0]  # c_0 copies f_0 with unit weight
@@ -238,7 +234,6 @@ def cross_entropy_loss_and_grads(
     feats: np.ndarray,
     labels: np.ndarray,
     frame_indices=None,
-    l2_weight: float = 0.0,
     weight: float = 1.0,
 ):
     """Mean cross-entropy over the selected frames, with analytic gradients.
@@ -259,8 +254,6 @@ def cross_entropy_loss_and_grads(
     dphi = dlogits @ head.weights
     grads = _selected_backward(params.layers[:-1], acts, params.context_lambda, idx, dphi)
     grads.append(grad_head)
-    if l2_weight:
-        loss = add_l2(params.layers, grads, loss, l2_weight)
     return loss, grads
 
 
@@ -334,24 +327,18 @@ def train_appearance(
 # temporal-coherence pretraining
 
 def sample_distant_pairs(n_frames: int, n_pairs: int, gap: int, rng) -> np.ndarray:
-    """Uniform (t, u) pairs with |t - u| > gap; empty when none exist."""
+    """n_pairs (t, u) with |t - u| > gap, t uniform over the frames that have
+    such a partner u, u uniform over t's partners; empty when none exist."""
     if n_frames < gap + 2:
         return np.zeros((0, 2), dtype=np.int64)
-    pairs = []
-    for _ in range(n_pairs):
-        t = left = right = 0
-        for _attempt in range(1000):
-            t = int(rng.integers(n_frames))
-            left = max(0, t - gap)
-            right = max(0, n_frames - 1 - (t + gap))
-            if left + right:
-                break
-        else:
-            continue
-        r = int(rng.integers(left + right))
-        u = r if r < left else t + gap + 1 + (r - left)
-        pairs.append((t, u))
-    return np.asarray(pairs, dtype=np.int64)
+    frames = np.arange(n_frames)
+    left = np.maximum(0, frames - gap)
+    right = np.maximum(0, n_frames - 1 - (frames + gap))
+    valid = np.flatnonzero(left + right)
+    t = valid[rng.integers(len(valid), size=n_pairs)]
+    r = rng.integers(left[t] + right[t])
+    u = np.where(r < left[t], r, t + gap + 1 + (r - left[t]))
+    return np.stack([t, u], axis=1)
 
 
 def temporal_coherence_loss_and_grads(
@@ -359,7 +346,6 @@ def temporal_coherence_loss_and_grads(
     feats: np.ndarray,
     pairs: np.ndarray,
     margin: float = 1.0,
-    l2_weight: float = 0.0,
 ):
     """Slowness + second-order steadiness + margin repulsion on the embedding.
 
@@ -400,17 +386,13 @@ def temporal_coherence_loss_and_grads(
         gp = coef[:, None] * diff
         np.add.at(d_emb, ti, gp)
         np.add.at(d_emb, ui, -gp)
-    grads = _embed_backward(embed, acts, d_emb)
-    if l2_weight:
-        loss = add_l2(embed, grads, loss, l2_weight)
-    return loss, grads
+    return loss, _embed_backward(embed, acts, d_emb)
 
 
 def tc_pretrain(
     videos: Sequence,
     params: AppearanceParams,
     config: TrainConfig,
-    margin: float = 1.0,
     gap: int = 30,
 ) -> AppearanceParams:
     """Pretrain the embedding so nearby frames embed smoothly and distant ones apart."""
@@ -425,9 +407,8 @@ def tc_pretrain(
         for vi in rng.permutation(len(videos)):
             video = videos[int(vi)]
             pairs = sample_distant_pairs(video.n_frames, video.n_frames, gap, rng)
-            loss, grads = temporal_coherence_loss_and_grads(
-                out, video.features, pairs, margin, l2_weight=config.l2_weight
-            )
+            loss, grads = temporal_coherence_loss_and_grads(out, video.features, pairs)
+            loss = add_l2(embed, grads, loss, config.l2_weight)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite coherence loss at epoch {epoch}")
             opt.step(embed, grads, embed_mask)

@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: pipeline preset")
     p.add_argument("--hidden", type=_positive_int, default=32)
     p.add_argument("--k", type=_positive_int, default=10, help="classes for --aux uniform")
-    p.add_argument("--aux-weight", type=_non_negative_float, default=1.0)
+    p.add_argument("--aux-weight", type=_non_negative_float, default=None,
+                   help="aux loss weight, --pipeline regularize only (default 1.0)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="report MAE and segmentation accuracy")
@@ -245,6 +246,8 @@ def _prepare_init(args, corpus, pipeline, aux, corridor, epochs):
 
 
 def _cmd_train_rsd(args) -> int:
+    if args.aux_weight is not None and args.pipeline != "regularize":
+        raise ValueError("--aux-weight applies to --pipeline regularize only")
     corpus = load_corpus(args.corpus)
     pipeline = PIPELINE_FLAG[args.pipeline]
     aux = AUX_FLAG[args.aux]
@@ -257,7 +260,8 @@ def _cmd_train_rsd(args) -> int:
                          epochs=max(config.epochs, 1))
     params, history = train_rsd(
         corpus, init, mode, args.loss, config, corridor,
-        hidden_dim=args.hidden, aux_weight=args.aux_weight,
+        hidden_dim=args.hidden,
+        aux_weight=1.0 if args.aux_weight is None else args.aux_weight,
         n_subactivities=args.k,
     )
     test = corpus.by_split("test")

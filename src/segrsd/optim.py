@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import NumericalError
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Sgd:
     def __init__(self, learning_rate: float):
@@ -19,7 +23,7 @@ class Sgd:
 
     def step(self, layers, grads, mask, lr_multipliers=None):
         for i, layer in enumerate(layers):
-            if not mask[i] or grads[i] is None:
+            if not mask[i]:
                 continue
             lr = self.learning_rate * (lr_multipliers[i] if lr_multipliers else 1.0)
             layer.weights -= lr * grads[i][0]
@@ -27,28 +31,25 @@ class Sgd:
 
 
 class Adam:
-    def __init__(self, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._state: dict[int, list[np.ndarray]] = {}
 
     def _update(self, moments, grad, lr):
         m, v = moments
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1 ** self.t)
-        v_hat = v / (1.0 - self.beta2 ** self.t)
-        return lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+        return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def step(self, layers, grads, mask, lr_multipliers=None):
         self.t += 1
         for i, layer in enumerate(layers):
-            if not mask[i] or grads[i] is None:
+            if not mask[i]:
                 continue
             if i not in self._state:
                 self._state[i] = [
@@ -71,6 +72,8 @@ def make_optimizer(config):
 
 def add_l2(layers, grads, loss, l2_weight):
     """Add 0.5 * l2_weight * ||W||^2 per layer to loss; grads gain l2_weight * W in place."""
+    if not l2_weight:
+        return loss
     for layer, grad in zip(layers, grads):
         loss += 0.5 * l2_weight * float((layer.weights ** 2).sum())
         grad[0] += l2_weight * layer.weights
@@ -112,8 +115,7 @@ def minibatch_epochs(
                     for acc, g in zip(total, grads):
                         acc[0] += g[0]
                         acc[1] += g[1]
-            if config.l2_weight:
-                loss = add_l2(layers, total, loss, config.l2_weight)
+            loss = add_l2(layers, total, loss, config.l2_weight)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch start {start}"

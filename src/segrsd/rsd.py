@@ -501,7 +501,6 @@ def train_rsd(
 def build_aux_init(
     corpus: Corpus,
     aux_task: str,
-    checkpoint: SegCheckpoint | None = None,
     n_subactivities: int = 10,
     hidden_dim: int = 32,
     config: TrainConfig | None = None,
@@ -509,13 +508,10 @@ def build_aux_init(
 ) -> AuxInit:
     """Produce the transferable embedding for a given auxiliary task.
 
-    learned_seg reuses the checkpoint; uniform and phase train a classifier
-    on their respective labels; progress trains a regressor on prog(t).
+    uniform and phase train a classifier on their respective labels; progress
+    trains a regressor on prog(t). learned_seg transfers from a segmentation
+    checkpoint instead, through AuxInit.from_checkpoint.
     """
-    if aux_task == "learned_seg":
-        if checkpoint is None:
-            raise ValueError("learned_seg transfer needs a segmentation checkpoint")
-        return AuxInit.from_checkpoint(checkpoint)
     videos = corpus.by_split("train")
     config = config or TrainConfig(learning_rate=1e-2, epochs=40, seed=0)
     if aux_task in ("uniform", "phase"):

@@ -23,6 +23,8 @@ from .core import Segmentation
 
 LOG_FLOOR = -745.0  # below log(smallest subnormal double); used for zero probabilities
 BIRTH_DEATH_PROB = 0.1  # chance per sweep of a birth/death proposal
+RHO_MAX = 50.0  # upper end of estimate_rho's bisection bracket [0, RHO_MAX]
+RHO_TOL = 1e-8  # bisection stops once the bracket is this narrow
 
 @dataclass
 class MallowsModel:
@@ -178,13 +180,13 @@ def estimate_rho(observed, model: MallowsModel) -> np.ndarray:
     return out
 
 
-def _solve_dispersion(target: float, n: int, hi: float = 50.0, tol: float = 1e-8) -> float:
+def _solve_dispersion(target: float, n: int) -> float:
     if target >= (n - 1) / 2.0:
         return 0.0
-    if target <= truncated_geometric_mean(hi, n):
-        return hi
-    lo = 0.0
-    while hi - lo > tol:
+    if target <= truncated_geometric_mean(RHO_MAX, n):
+        return RHO_MAX
+    lo, hi = 0.0, RHO_MAX
+    while hi - lo > RHO_TOL:
         mid = 0.5 * (lo + hi)
         if truncated_geometric_mean(mid, n) > target:
             lo = mid

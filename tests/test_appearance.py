@@ -53,13 +53,14 @@ class TestContextAccumulate:
         with pytest.raises(ValueError):
             context_accumulate(np.zeros((3, 1)), 1.0)
 
-    def test_backward_is_adjoint(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_backward_is_adjoint(self, lam):
         # <A f, g> == <f, A^T g> for the linear accumulator A
         rng = np.random.default_rng(4)
         f = rng.standard_normal((9, 3))
         g = rng.standard_normal((9, 3))
-        lhs = float((context_accumulate(f, 0.7) * g).sum())
-        rhs = float((f * context_backward(g, 0.7)).sum())
+        lhs = float((context_accumulate(f, lam) * g).sum())
+        rhs = float((f * context_backward(g, lam)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99])
@@ -140,13 +141,9 @@ class TestCrossEntropyGradients:
                 rng.choice(int(t) + 4, size=int(t) + 1, replace=False)
             )
 
-            _, grads = cross_entropy_loss_and_grads(
-                params, feats, labels, idx, l2_weight=1e-3
-            )
+            _, grads = cross_entropy_loss_and_grads(params, feats, labels, idx)
             fd = finite_difference_grads(
-                lambda: cross_entropy_loss_and_grads(
-                    params, feats, labels, idx, l2_weight=1e-3
-                )[0],
+                lambda: cross_entropy_loss_and_grads(params, feats, labels, idx)[0],
                 params.layers,
             )
             assert grad_rel_error(grads, fd) < 1e-4
@@ -241,13 +238,9 @@ class TestCoherenceLoss:
             params = init_appearance(rng, 3, [4], 2)
             feats = rng.standard_normal((12, 3))
             pairs = np.array([[0, 10], [1, 11], [3, 9]])
-            _, grads = temporal_coherence_loss_and_grads(
-                params, feats, pairs, margin=1.0, l2_weight=1e-3
-            )
+            _, grads = temporal_coherence_loss_and_grads(params, feats, pairs, margin=1.0)
             fd = finite_difference_grads(
-                lambda: temporal_coherence_loss_and_grads(
-                    params, feats, pairs, margin=1.0, l2_weight=1e-3
-                )[0],
+                lambda: temporal_coherence_loss_and_grads(params, feats, pairs, margin=1.0)[0],
                 params.layers[:-1],
             )
             assert grad_rel_error(grads, fd) < 1e-4
@@ -264,6 +257,27 @@ class TestSampleDistantPairs:
         assert len(pairs) == 500
         assert (np.abs(pairs[:, 0] - pairs[:, 1]) > 30).all()
         assert pairs.min() >= 0 and pairs.max() < 100
+
+    @pytest.mark.parametrize("n_frames", [32, 40, 70])
+    def test_matches_exact_distribution(self, n_frames):
+        # P(t, u) = 1 / (frames with a partner) * 1 / (partners of t). Below
+        # 2 * gap + 2 frames some frames have no partner; at gap + 2 only two do
+        gap, n_draws = 30, 200_000
+        t, u = np.meshgrid(np.arange(n_frames), np.arange(n_frames), indexing="ij")
+        support = (np.abs(t - u) > gap).ravel()
+        partners = support.reshape(n_frames, n_frames).sum(axis=1)
+        p = np.repeat(1.0 / np.maximum(partners, 1), n_frames) / np.count_nonzero(partners)
+        pairs = sample_distant_pairs(n_frames, n_draws, gap, np.random.default_rng(n_frames))
+        assert pairs.shape == (n_draws, 2) and pairs.dtype == np.int64
+        assert pairs.min() >= 0 and pairs.max() < n_frames
+        counts = np.bincount(pairs[:, 0] * n_frames + pairs[:, 1], minlength=n_frames ** 2)
+        assert counts[~support].sum() == 0
+        expected = n_draws * p[support]
+        chi2 = float(((counts[support] - expected) ** 2 / expected).sum())
+        # Wilson-Hilferty approximation of the 0.999 quantile of chi-squared(df)
+        df = np.count_nonzero(support) - 1
+        limit = df * (1 - 2 / (9 * df) + 3.0902 * np.sqrt(2 / (9 * df))) ** 3
+        assert chi2 < limit
 
 
 class TestTrainAppearance:

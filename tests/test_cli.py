@@ -199,6 +199,22 @@ class TestExitCodes:
         assert "error:" in err and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pipeline, aux", [
+        ("single", "none"), ("feature", "uniform"), ("pretrain", "uniform"),
+    ])
+    def test_usage_error_aux_weight_outside_regularize(self, tmp_path, capsys, pipeline, aux):
+        # only joint training has an aux loss to weight; the flag is rejected
+        # before the corpus loads, so a missing corpus is not reported
+        out = tmp_path / "out"
+        code = main([
+            "train-rsd", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+            "--pipeline", pipeline, "--aux", aux, "--aux-weight", "2",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--aux-weight" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_usage_error_non_finite_duration(self, tmp_path, capsys, duration):
         out = tmp_path / "c"
@@ -300,6 +316,41 @@ def test_no_unreferenced_definitions():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_no_unpassed_private_defaults():
+    # a default on a private function that no call in the package overrides,
+    # by name or by position, is a constant in disguise; dunders are exempt
+    defaults, passed = {}, {}
+    for path in sorted(Path(segrsd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                args = node.args.posonlyargs + node.args.args
+                first = len(args) - len(node.args.defaults)
+                # a method call passes self or cls implicitly
+                skip = 1 if args and args[0].arg in ("self", "cls") else 0
+                for i, arg in enumerate(args[first:], first):
+                    defaults[node.name, arg.arg] = (f"{path.name}:{node.lineno}", i - skip)
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        defaults[node.name, arg.arg] = (f"{path.name}:{node.lineno}", None)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                spread = any(k.arg is None for k in node.keywords)
+                passed.setdefault(name, []).append((
+                    float("inf") if starred else len(node.args),
+                    None if spread else {k.arg for k in node.keywords},
+                ))
+    unpassed = [
+        f"{where} {func}({arg})" for (func, arg), (where, pos) in sorted(defaults.items())
+        if not any(
+            names is None or arg in names or (pos is not None and n_pos > pos)
+            for n_pos, names in passed.get(func, [])
+        )
+    ]
+    assert unpassed == []
 
 
 def test_benchmark_oracle_selftest():

@@ -3,7 +3,9 @@ import pytest
 
 from segrsd.appearance import DenseLayer, TrainConfig
 from segrsd.errors import NumericalError
-from segrsd.optim import minibatch_epochs
+from segrsd.optim import add_l2, minibatch_epochs
+
+from conftest import finite_difference_grads, grad_rel_error
 
 
 def _layers():
@@ -76,3 +78,18 @@ class TestMinibatchEpochs:
                                   loss_and_grads))
         np.testing.assert_array_equal(layers[0].weights, np.ones((2, 3)))
 
+
+
+def test_add_l2_gradient_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    layers = [DenseLayer(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+              DenseLayer(rng.standard_normal((2, 3)), rng.standard_normal(2))]
+
+    def loss_and_grads():
+        grads = [[np.zeros_like(l.weights), np.zeros_like(l.bias)] for l in layers]
+        return add_l2(layers, grads, 0.5, 0.3), grads
+
+    loss, grads = loss_and_grads()
+    assert loss == pytest.approx(0.5 + 0.15 * sum((l.weights ** 2).sum() for l in layers))
+    fd = finite_difference_grads(lambda: loss_and_grads()[0], layers)
+    assert grad_rel_error(grads, fd) < 1e-8

@@ -672,7 +672,7 @@ class TestTrainRsd:
 class TestBuildAuxInit:
     def test_learned_seg_requires_checkpoint(self, tiny_corpus):
         with pytest.raises(ValueError):
-            build_aux_init(tiny_corpus, "learned_seg", checkpoint=None)
+            build_aux_init(tiny_corpus, "learned_seg")
 
     def test_uniform_trains_classifier(self, tiny_corpus):
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, seed=0)
