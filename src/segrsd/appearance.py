@@ -172,46 +172,78 @@ def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray) -> list[np.nda
     return acts
 
 
-def _features_of(video) -> np.ndarray:
-    return video.features if hasattr(video, "features") else np.asarray(video, float)
+def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows=None):
+    """Embedding chain and causal context of feats; (acts, emb, ctx).
+
+    With rows (sorted frame indices) the chain runs through frame max(rows)
+    only, since the context is causal, and emb and ctx are taken at rows;
+    without, both cover every frame. acts are the chain's activations, input
+    first, for the backward pass.
+    """
+    if rows is not None:
+        feats = feats[:rows.max() + 1]
+    acts = _embed_chain(layers, feats)
+    ctx = context_accumulate(acts[-1], lam)
+    if rows is None:
+        return acts, acts[-1], ctx
+    return acts, acts[-1][rows], ctx[rows]
 
 
-def _context_cache(params: AppearanceParams, feats: np.ndarray, rows=slice(None)):
-    """Embedding chain and context over all of feats; phi is [emb, ctx] at rows."""
-    acts = _embed_chain(params.layers[:-1], feats)
-    emb = acts[-1]
-    ctx = context_accumulate(emb, params.context_lambda)
-    return acts, emb, ctx, np.hstack([emb[rows], ctx[rows]])
+def _frozen_trunks(layers, mask, lam, videos):
+    """Per video, (emb, ctx) over every frame when no embedding layer trains.
+
+    A frozen embedding gives the same emb and ctx in every batch and epoch,
+    so a training call computes them once here and reads its batch rows from
+    them. Returns None when some layer trains.
+    """
+    if any(mask):
+        return None
+    return [_trunk(layers, lam, video.features)[1:] for video in videos]
+
+
+def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray):
+    """The softmax head on [emb, ctx]; returns (phi, logits)."""
+    phi = np.hstack([emb, ctx])
+    return phi, phi @ head.weights.T + head.bias
 
 
 def forward(params: AppearanceParams, video) -> np.ndarray:
     """Per-frame class probabilities, shape (n_frames, n_classes)."""
-    _, _, _, phi = _context_cache(params, _features_of(video))
-    head = params.layers[-1]
-    return softmax(phi @ head.weights.T + head.bias)
+    _, emb, ctx = _trunk(params.layers[:-1], params.context_lambda, video.features)
+    return softmax(_logits(params.layers[-1], emb, ctx)[1])
 
 
-def _embed_backward(layers, acts, d_embedding):
-    """Backprop a gradient at the embedding output through the tanh stack."""
+def _embed_backward(layers, mask, acts, d_embedding):
+    """Backprop a gradient at the embedding output through the tanh stack.
+
+    Frozen layers (mask False) get None. The pass stops at the first
+    trainable layer, so nothing flows on to the input features.
+    """
     grads = [None] * len(layers)
+    first = next((i for i, m in enumerate(mask) if m), len(layers))
     d = d_embedding
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(len(layers) - 1, first - 1, -1):
         a = acts[i + 1]
         dpre = d * (1.0 - a * a)
-        grads[i] = [dpre.T @ acts[i], dpre.sum(axis=0)]
-        d = dpre @ layers[i].weights
+        if mask[i]:
+            grads[i] = [dpre.T @ acts[i], dpre.sum(axis=0)]
+        if i > first:
+            d = dpre @ layers[i].weights
     return grads
 
 
-def _selected_backward(layers, acts, lam, idx, d_phi):
+def _selected_backward(layers, mask, acts, lam, idx, d_phi):
     """Backprop a gradient at rows idx (distinct frames) of [embedding, context].
 
-    The context is causal, so acts need only reach frame max(idx).
+    The context is causal, so acts need only reach frame max(idx). A wholly
+    frozen embedding gets [None, ...] and may come without acts.
     """
+    if not any(mask):
+        return [None] * len(layers)
     h = acts[-1].shape[1]
     d = np.zeros((len(acts[-1]), 2 * h))
     d[idx] = d_phi
-    return _embed_backward(layers, acts, d[:, :h] + context_backward(d[:, h:], lam))
+    return _embed_backward(layers, mask, acts, d[:, :h] + context_backward(d[:, h:], lam))
 
 
 def softmax_cross_entropy(logits, labels, weight: float = 1.0):
@@ -242,29 +274,44 @@ def cross_entropy_loss_and_grads(
     sequence contribute even when only later frames are selected. Frames
     after the last selected one reach no loss, so the embedding and context
     run through that frame only, and the head runs on the selected rows.
-    Returns (loss, grads) with grads aligned to params.layers.
+    Returns (loss, grads) with grads aligned to params.layers; frozen
+    embedding layers get None.
     """
     idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
-    acts, _, _, phi = _context_cache(params, feats[:idx.max() + 1], idx)
-    head = params.layers[-1]
-    logits = phi @ head.weights.T + head.bias
-    loss, dlogits = softmax_cross_entropy(logits, np.asarray(labels)[idx], weight)
+    trunk = _trunk(params.layers[:-1], params.context_lambda, feats, idx)
+    return _cross_entropy(params, trunk, np.asarray(labels)[idx], idx, weight)
 
-    grad_head = [dlogits.T @ phi, dlogits.sum(axis=0)]
-    dphi = dlogits @ head.weights
-    grads = _selected_backward(params.layers[:-1], acts, params.context_lambda, idx, dphi)
-    grads.append(grad_head)
+
+def _cross_entropy(params: AppearanceParams, trunk, labels, idx, weight):
+    """The head and loss of cross_entropy_loss_and_grads on trunk = (acts, emb,
+    ctx) at rows idx; acts may be None when the whole embedding is frozen."""
+    acts, emb, ctx = trunk
+    head = params.layers[-1]
+    phi, logits = _logits(head, emb, ctx)
+    loss, dlogits = softmax_cross_entropy(logits, labels, weight)
+    grads = _selected_backward(
+        params.layers[:-1], params.trainable_mask[:-1], acts, params.context_lambda,
+        idx, dlogits @ head.weights,
+    )
+    grads.append([dlogits.T @ phi, dlogits.sum(axis=0)])
     return loss, grads
 
 
 def mean_cross_entropy(params, videos, labels: Mapping[str, np.ndarray]) -> float:
     """Mean per-frame cross-entropy pooled over all frames of all videos."""
+    trunks = (
+        _trunk(params.layers[:-1], params.context_lambda, video.features)[1:]
+        for video in videos
+    )
+    return _pooled_cross_entropy(params.layers[-1], trunks, [labels[v.id] for v in videos])
+
+
+def _pooled_cross_entropy(head: DenseLayer, trunks, labels) -> float:
+    """mean_cross_entropy from each video's (emb, ctx) and labels."""
     total, count = 0.0, 0
-    for video in videos:
-        _, _, _, phi = _context_cache(params, video.features)
-        head = params.layers[-1]
-        lp = log_softmax(phi @ head.weights.T + head.bias)
-        y = np.asarray(labels[video.id], dtype=np.int64)
+    for (emb, ctx), y in zip(trunks, labels):
+        lp = log_softmax(_logits(head, emb, ctx)[1])
+        y = np.asarray(y, dtype=np.int64)
         total -= float(lp[np.arange(len(y)), y].sum())
         count += len(y)
     return total / count
@@ -291,7 +338,9 @@ def train_appearance(
     Batches come from `optim.minibatch_epochs`: frames drawn without
     replacement within each epoch, each touched video weighted equally and
     run through its last selected frame, so context gradients stay exact.
-    Deterministic given (params, config, data).
+    With the whole embedding frozen, each video's [emb, ctx] is computed once
+    per call and every batch and CE figure reads it. Deterministic given
+    (params, config, data).
     """
     for video in videos:
         if video.id not in labels:
@@ -303,19 +352,30 @@ def train_appearance(
         return out
 
     labs = [np.asarray(labels[v.id], dtype=np.int64) for v in videos]
+    frozen = _frozen_trunks(
+        out.layers[:-1], out.trainable_mask[:-1], out.context_lambda, videos
+    )
 
     def video_loss(vi, idx, weight):
-        return cross_entropy_loss_and_grads(
-            out, videos[vi].features, labs[vi], idx, weight=weight
-        )
+        if frozen is None:
+            return cross_entropy_loss_and_grads(
+                out, videos[vi].features, labs[vi], idx, weight=weight
+            )
+        emb, ctx = frozen[vi]
+        return _cross_entropy(out, (None, emb[idx], ctx[idx]), labs[vi][idx], idx, weight)
 
-    ce_start = mean_cross_entropy(out, videos, labels)
+    def mean_ce():
+        if frozen is None:
+            return mean_cross_entropy(out, videos, labels)
+        return _pooled_cross_entropy(out.layers[-1], frozen, labs)
+
+    ce_start = mean_ce()
     for _ in minibatch_epochs(
         out.layers, out.trainable_mask, [v.n_frames for v in videos], config,
         np.random.default_rng(config.seed), video_loss,
     ):
         pass
-    ce_end = mean_cross_entropy(out, videos, labels)
+    ce_end = mean_ce()
     if ce_end > ce_start + CE_TOLERANCE:
         logger.warning(
             "training cross-entropy increased: %.6f -> %.6f", ce_start, ce_end
@@ -353,7 +413,8 @@ def temporal_coherence_loss_and_grads(
       + mean_t ||(e_{t+2} - e_{t+1}) - (e_{t+1} - e_t)||^2
       + mean_pairs max(0, margin - ||e_t - e_u||)^2
 
-    Gradients cover the embedding layers only (the head is untouched).
+    Gradients cover the trainable embedding layers only (the head and
+    frozen layers get none).
     """
     embed = params.layers[:-1]
     acts = _embed_chain(embed, feats)
@@ -386,7 +447,7 @@ def temporal_coherence_loss_and_grads(
         gp = coef[:, None] * diff
         np.add.at(d_emb, ti, gp)
         np.add.at(d_emb, ui, -gp)
-    return loss, _embed_backward(embed, acts, d_emb)
+    return loss, _embed_backward(embed, params.trainable_mask[:-1], acts, d_emb)
 
 
 def tc_pretrain(

@@ -136,11 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", choices=sorted(PIPELINE_FLAG), required=True)
     p.add_argument("--aux", choices=sorted(AUX_FLAG), default="none")
     p.add_argument("--loss", choices=("smoothl1", "corr"), default="smoothl1")
-    p.add_argument("--checkpoint", help="segmentation checkpoint (required for --aux seg)")
+    p.add_argument("--checkpoint",
+                   help="segmentation checkpoint, --aux seg only (and required there)")
     p.add_argument("--epochs", type=_non_negative_int, default=None,
                    help="default: pipeline preset")
     p.add_argument("--hidden", type=_positive_int, default=32)
-    p.add_argument("--k", type=_positive_int, default=10, help="classes for --aux uniform")
+    p.add_argument("--k", type=_positive_int, default=None,
+                   help="classes, --aux uniform only (default 10)")
     p.add_argument("--aux-weight", type=_non_negative_float, default=None,
                    help="aux loss weight, --pipeline regularize only (default 1.0)")
     p.add_argument("--seed", type=int, default=0)
@@ -248,6 +250,12 @@ def _prepare_init(args, corpus, pipeline, aux, corridor, epochs):
 def _cmd_train_rsd(args) -> int:
     if args.aux_weight is not None and args.pipeline != "regularize":
         raise ValueError("--aux-weight applies to --pipeline regularize only")
+    if args.k is not None and args.aux != "uniform":
+        raise ValueError("--k applies to --aux uniform only")
+    if args.checkpoint is not None and args.aux != "seg":
+        raise ValueError("--checkpoint applies to --aux seg only")
+    if args.k is None:
+        args.k = 10
     corpus = load_corpus(args.corpus)
     pipeline = PIPELINE_FLAG[args.pipeline]
     aux = AUX_FLAG[args.aux]

@@ -1,10 +1,11 @@
 """Minimal SGD and Adam over lists of dense layers, and the minibatch trainer.
 
-Gradients arrive as (d_weights, d_bias) pairs aligned with the layer list;
-frozen layers (mask False) are skipped entirely so their parameters and any
-optimizer state stay bit-identical. `minibatch_epochs` is the one frame
-minibatch loop; the classifier and the duration regressor differ only in the
-per-video loss they hand it.
+Gradients arrive as (d_weights, d_bias) pairs aligned with the layer list.
+Frozen embedding layers get no gradient at all (None in place of the pair),
+and the optimizers skip every frozen layer (mask False), so their parameters
+stay bit-identical and no optimizer state is made for them.
+`minibatch_epochs` is the one frame minibatch loop; the classifier and the
+duration regressor differ only in the per-video loss they hand it.
 """
 from __future__ import annotations
 
@@ -71,12 +72,17 @@ def make_optimizer(config):
 
 
 def add_l2(layers, grads, loss, l2_weight):
-    """Add 0.5 * l2_weight * ||W||^2 per layer to loss; grads gain l2_weight * W in place."""
+    """Add 0.5 * l2_weight * ||W||^2 per layer to loss; grads gain l2_weight * W in place.
+
+    The loss counts every layer, frozen or not, so reported losses do not
+    depend on the mask; a layer without gradient (None) gains none.
+    """
     if not l2_weight:
         return loss
     for layer, grad in zip(layers, grads):
         loss += 0.5 * l2_weight * float((layer.weights ** 2).sum())
-        grad[0] += l2_weight * layer.weights
+        if grad is not None:
+            grad[0] += l2_weight * layer.weights
     return loss
 
 
@@ -90,9 +96,10 @@ def minibatch_epochs(
     in increasing video order, it calls loss_and_grads(video_index,
     sorted_frame_indices, weight) with weight = 1 / (videos touched), so the
     batch loss is the mean over touched videos of each video's mean frame
-    loss, the same average the evaluation MAE takes. The grads are summed,
-    the L2 term is added once, and the optimizer steps. A non-finite batch
-    loss raises NumericalError before the step.
+    loss, the same average the evaluation MAE takes. The grads are summed
+    (a frozen layer's None stays None), the L2 term is added once, and the
+    optimizer steps. A non-finite batch loss raises NumericalError before
+    the step.
     """
     opt = make_optimizer(config)
     video_of = np.repeat(np.arange(len(n_frames_per_video)), n_frames_per_video)
@@ -113,8 +120,9 @@ def minibatch_epochs(
                     total = grads
                 else:
                     for acc, g in zip(total, grads):
-                        acc[0] += g[0]
-                        acc[1] += g[1]
+                        if acc is not None:
+                            acc[0] += g[0]
+                            acc[1] += g[1]
             loss = add_l2(layers, total, loss, config.l2_weight)
             if not np.isfinite(loss):
                 raise NumericalError(

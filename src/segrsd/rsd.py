@@ -34,9 +34,9 @@ from .appearance import (
     CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
-    _embed_chain,
+    _frozen_trunks,
     _selected_backward,
-    context_accumulate,
+    _trunk,
     init_appearance,
     init_dense,
     softmax_cross_entropy,
@@ -258,25 +258,26 @@ def init_rsd(
     )
 
 
-def _duration_head(params: RsdParams, feats: np.ndarray, elapsed: np.ndarray,
-                   rows=slice(None)):
-    """Embedding and context over all of feats; (acts, inp, hidden, scaled) at rows.
+def _duration_head(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, elapsed: np.ndarray):
+    """The duration head on rows of [emb, ctx, elapsed minutes]; (inp, hidden, scaled).
 
-    elapsed holds the rows' minutes; scaled is the output before output_scale.
+    scaled is the output before output_scale.
     """
-    acts = _embed_chain(params.embed, feats)
-    emb = acts[-1]
-    ctx = context_accumulate(emb, params.context_lambda)
-    inp = np.hstack([emb[rows], ctx[rows], elapsed[:, None]])
+    inp = np.hstack([emb, ctx, elapsed[:, None]])
     hidden = np.tanh(inp @ params.head1.weights.T + params.head1.bias)
     scaled = hidden @ params.head2.weights.T + params.head2.bias
-    return acts, inp, hidden, scaled[:, 0]
+    return inp, hidden, scaled[:, 0]
+
+
+def _minutes(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, video: VideoSequence):
+    """Predicted remaining minutes at every frame of video from its (emb, ctx)."""
+    return _duration_head(params, emb, ctx, video.elapsed_min())[2] / params.output_scale
 
 
 def rsd_forward(params: RsdParams, video: VideoSequence) -> np.ndarray:
     """Predicted remaining minutes at every frame."""
-    _, _, _, scaled = _duration_head(params, video.features, video.elapsed_min())
-    return scaled / params.output_scale
+    _, emb, ctx = _trunk(params.embed, params.context_lambda, video.features)
+    return _minutes(params, emb, ctx, video)
 
 
 def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
@@ -300,15 +301,22 @@ def rsd_loss_and_grads(
     regresses prog(t) directly (used to pretrain transfer embeddings).
     The embedding and context run through the last selected frame, the
     heads on the selected rows only. Returns (loss, grads) with grads
-    aligned to params.layer_list().
+    aligned to params.layer_list(); frozen embedding layers get None.
     """
     idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
+    trunk = _trunk(params.embed, params.context_lambda, video.features, idx)
+    return _rsd_loss(params, video, idx, trunk, loss_name, corridor,
+                     aux_target, aux_weight, weight, target_kind)
+
+
+def _rsd_loss(params: RsdParams, video, idx, trunk, loss_name, corridor,
+              aux_target, aux_weight, weight, target_kind):
+    """The heads and losses of rsd_loss_and_grads on trunk = (acts, emb, ctx)
+    at rows idx; acts may be None when the whole embedding is frozen."""
+    acts, emb, ctx = trunk
     elapsed = video.elapsed_min()[idx]
     remaining = video.remaining_min()[idx]
-    acts, inp, hidden, pred = _duration_head(
-        params, video.features[:idx.max() + 1], elapsed, idx
-    )
-    emb = acts[-1]
+    inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
 
     pi = np.ones(len(idx))
     if target_kind == "duration":
@@ -338,7 +346,7 @@ def rsd_loss_and_grads(
     h = emb.shape[1]
     aux_grad = None
     if params.aux_head is not None and aux_target is not None:
-        z = emb[idx] @ params.aux_head.weights.T + params.aux_head.bias
+        z = emb @ params.aux_head.weights.T + params.aux_head.bias
         tgt = np.asarray(aux_target)[idx]
         aux_w = aux_weight * weight
         if params.aux_kind == "classes":
@@ -350,8 +358,10 @@ def rsd_loss_and_grads(
         aux_grad = [dz.T @ inp[:, :h], dz.sum(axis=0)]
         dinp[:, :h] += dz @ params.aux_head.weights
 
+    n_embed = len(params.embed)
     grads = _selected_backward(
-        params.embed, acts, params.context_lambda, idx, dinp[:, :2 * h]
+        params.embed, params.trainable_mask[:n_embed], acts, params.context_lambda,
+        idx, dinp[:, :2 * h],
     )
     grads.append(grad_h1)
     grads.append(grad_h2)
@@ -402,10 +412,12 @@ def _resolve_aux_targets(
 def mae_of(params: RsdParams, videos: Sequence[VideoSequence],
            target=VideoSequence.remaining_min) -> float:
     """Macro-averaged MAE (per-video mean first) of the output against target(video)."""
-    errs = [
-        float(np.mean(np.abs(predict_video(params, v) - target(v))))
-        for v in videos
-    ]
+    return _macro_mae((predict_video(params, v) for v in videos), videos, target)
+
+
+def _macro_mae(preds, videos, target) -> float:
+    """mae_of from each video's predictions."""
+    errs = [float(np.mean(np.abs(p - target(v)))) for p, v in zip(preds, videos)]
     return float(np.mean(errs))
 
 
@@ -426,7 +438,9 @@ def train_rsd(
 
     History rows are (epoch, train_loss, val_mae). The returned parameters
     are the snapshot with the lowest validation MAE. A non-finite loss stops
-    training and returns the best parameters seen so far.
+    training and returns the best parameters seen so far. With the whole
+    embedding frozen (feature_extraction), each train and val video's
+    [emb, ctx] is computed once per call and every batch and val MAE reads it.
     """
     if loss_name not in LOSSES:
         raise ValueError(f"unknown loss {loss_name!r}")
@@ -467,18 +481,31 @@ def train_rsd(
     history: list[tuple[int, float, float]] = []
     best = params.copy()
     best_mae = np.inf
+    val_set = val_videos or train_videos
     val_target = _progress_of if target_kind == "progress" else VideoSequence.remaining_min
+    frozen = _frozen_trunks(
+        params.embed, params.trainable_mask[:n_embed], params.context_lambda,
+        [*train_videos, *val_videos],
+    )
 
     def video_loss(vi, idx, weight):
         video = train_videos[vi]
-        return rsd_loss_and_grads(
-            params, video, loss_name, corridor,
-            frame_indices=idx,
-            aux_target=aux_targets[video.id] if aux_targets else None,
-            aux_weight=aux_weight,
-            weight=weight,
-            target_kind=target_kind,
-        )
+        aux_target = aux_targets[video.id] if aux_targets else None
+        if frozen is None:
+            return rsd_loss_and_grads(
+                params, video, loss_name, corridor, idx, aux_target, aux_weight,
+                weight, target_kind,
+            )
+        emb, ctx = frozen[vi]
+        return _rsd_loss(params, video, idx, (None, emb[idx], ctx[idx]), loss_name,
+                         corridor, aux_target, aux_weight, weight, target_kind)
+
+    def val_mae():
+        if frozen is None:
+            return mae_of(params, val_set, val_target)
+        trunks = frozen[len(train_videos):] if val_videos else frozen
+        preds = (_minutes(params, emb, ctx, v) for (emb, ctx), v in zip(trunks, val_set))
+        return _macro_mae(preds, val_set, val_target)
 
     epochs = minibatch_epochs(
         params.layer_list(), params.trainable_mask, [v.n_frames for v in train_videos],
@@ -486,12 +513,12 @@ def train_rsd(
     )
     try:
         for epoch, loss in enumerate(epochs):
-            val_mae = mae_of(params, val_videos or train_videos, val_target)
-            history.append((epoch, loss, val_mae))
+            mae = val_mae()
+            history.append((epoch, loss, mae))
             if verbose:
-                print(f"epoch={epoch} loss={loss:.6f} val_mae={val_mae:.6f}")
-            if val_mae < best_mae:
-                best_mae = val_mae
+                print(f"epoch={epoch} loss={loss:.6f} val_mae={mae:.6f}")
+            if mae < best_mae:
+                best_mae = mae
                 best = params.copy()
     except NumericalError as err:
         logger.error("%s; stopping with best params", err)

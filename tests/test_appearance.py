@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segrsd import optim
 from segrsd.appearance import (
     AppearanceParams,
     DenseLayer,
@@ -17,6 +18,9 @@ from segrsd.appearance import (
     tc_pretrain,
     temporal_coherence_loss_and_grads,
     train_appearance,
+    _cross_entropy,
+    _frozen_trunks,
+    _pooled_cross_entropy,
 )
 from segrsd.core import VideoSequence
 from segrsd.errors import NumericalError
@@ -151,10 +155,10 @@ class TestCrossEntropyGradients:
     def test_selected_frames_only(self):
         rng = np.random.default_rng(12)
         params = init_appearance(rng, 3, [3], 2)
-        feats = rng.standard_normal((10, 3))
+        video = make_video(n_frames=10, n_features=3, seed=12)
         labels = rng.integers(0, 2, size=10)
-        full, _ = cross_entropy_loss_and_grads(params, feats, labels)
-        probs = forward(params, feats)
+        full, _ = cross_entropy_loss_and_grads(params, video.features, labels)
+        probs = forward(params, video)
         expected = -np.mean(np.log(probs[np.arange(10), labels]))
         assert full == pytest.approx(expected, rel=1e-12)
 
@@ -174,10 +178,13 @@ class TestCrossEntropySelectedRows:
     @pytest.mark.parametrize("subset", ["single", "early", "all"])
     def test_loss_matches_forward_at_selected_rows(self, n_frames, subset):
         idx = frame_subset(n_frames, subset)
-        params, feats, labels = self._setup(n_frames)
-        loss, _ = cross_entropy_loss_and_grads(params, feats, labels, idx, weight=0.4)
+        params, _, labels = self._setup(n_frames)
+        video = make_video(n_frames=n_frames, n_features=3, seed=n_frames)
+        loss, _ = cross_entropy_loss_and_grads(
+            params, video.features, labels, idx, weight=0.4
+        )
         sel = np.arange(n_frames) if idx is None else idx
-        probs = forward(params, feats)
+        probs = forward(params, video)
         expected = -0.4 * np.mean(np.log(probs[sel, labels[sel]]))
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -204,6 +211,80 @@ class TestCrossEntropySelectedRows:
             params.layers,
         )
         assert grad_rel_error(grads, num) < 1e-6
+
+
+class TestFrozenEmbedding:
+    """Frozen layers get no gradient; a training call embeds a frozen stack once."""
+
+    @staticmethod
+    def _setup(n_frames, mask, seed=0):
+        rng = np.random.default_rng(seed)
+        params = init_appearance(rng, 3, [4, 5], 3, 0.9)
+        params.trainable_mask = mask
+        video = make_video(n_frames=n_frames, n_features=3, seed=seed)
+        return params, video, rng.integers(0, 3, size=n_frames)
+
+    @pytest.mark.parametrize("n_frames", [2, 181, 1800])
+    @pytest.mark.parametrize("subset", ["single", "early", "all"])
+    def test_cached_rows_match_uncached_loss(self, n_frames, subset):
+        idx = frame_subset(n_frames, subset)
+        params, video, labels = self._setup(n_frames, [False, False, True])
+        want_loss, want = cross_entropy_loss_and_grads(
+            params, video.features, labels, idx, weight=0.4
+        )
+        [(emb, ctx)] = _frozen_trunks(
+            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [video]
+        )
+        sel = np.arange(n_frames) if idx is None else idx
+        got_loss, got = _cross_entropy(
+            params, (None, emb[sel], ctx[sel]), labels[sel], sel, 0.4
+        )
+        assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+        assert got[:2] == want[:2] == [None, None]
+        assert grad_rel_error(got[2:], want[2:]) <= 1e-14
+
+    def test_cached_mean_cross_entropy_matches(self):
+        params, video, labels = self._setup(181, [False, False, True])
+        videos = [video, make_video("v1", n_frames=40, n_features=3, seed=1)]
+        labs = [labels, np.arange(40) % 3]
+        frozen = _frozen_trunks(
+            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos
+        )
+        assert _pooled_cross_entropy(params.layers[-1], frozen, labs) == mean_cross_entropy(
+            params, videos, {v.id: y for v, y in zip(videos, labs)}
+        )
+
+    def test_partly_frozen_stack_keeps_trainable_gradients(self):
+        # the backward pass stops at the first trainable layer; what it
+        # returns for the trainable layers does not change
+        params, video, labels = self._setup(181, [True, True, True])
+        idx = frame_subset(181, "early")
+        pairs = sample_distant_pairs(181, 50, 30, np.random.default_rng(0))
+        _, ce_full = cross_entropy_loss_and_grads(params, video.features, labels, idx)
+        _, tc_full = temporal_coherence_loss_and_grads(params, video.features, pairs)
+        params.trainable_mask = [False, True, True]
+        _, ce_part = cross_entropy_loss_and_grads(params, video.features, labels, idx)
+        _, tc_part = temporal_coherence_loss_and_grads(params, video.features, pairs)
+        for part, full in ((ce_part, ce_full), (tc_part, tc_full)):
+            assert part[0] is None
+            for p, f in zip(part[1:], full[1:]):
+                np.testing.assert_array_equal(p[0], f[0])
+                np.testing.assert_array_equal(p[1], f[1])
+
+    def test_training_keeps_frozen_layers_and_makes_no_adam_state(self, monkeypatch):
+        made = []
+        make = optim.make_optimizer
+        monkeypatch.setattr(optim, "make_optimizer", lambda cfg: made.append(make(cfg)) or made[-1])
+        videos = [make_video(f"v{i}", n_frames=30, n_features=3, seed=i) for i in range(3)]
+        labels = {v.id: np.arange(30) // 10 for v in videos}
+        params = init_appearance(np.random.default_rng(0), 3, [4], 3)
+        params.trainable_mask = [False, True]
+        out = train_appearance(videos, labels, params, TrainConfig(epochs=3, batch_size=16))
+        np.testing.assert_array_equal(out.layers[0].weights, params.layers[0].weights)
+        np.testing.assert_array_equal(out.layers[0].bias, params.layers[0].bias)
+        assert not np.array_equal(out.layers[1].weights, params.layers[1].weights)
+        [opt] = made
+        assert isinstance(opt, optim.Adam) and set(opt._state) == {1}
 
 
 class TestCoherenceLoss:

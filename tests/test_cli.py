@@ -97,6 +97,43 @@ class TestEndToEnd:
         assert csv.splitlines()[0].startswith(",")
 
 
+def test_report_lines_pinned(tmp_path, capsys):
+    # the 6-decimal figures of a fixed-seed run, copied from an earlier
+    # version: a change to what segmentation or the feature pipeline
+    # computes moves them. Iteration 1 trains the softmax head only and the
+    # feature pipeline freezes the whole embedding.
+    corpus, seg = str(tmp_path / "corpus"), str(tmp_path / "seg")
+    assert main([
+        "synth", "--out", corpus, "--videos", "8", "--k", "3", "--d", "4",
+        "--duration-mean", "0.8", "--noise", "0.5", "--seed", "1",
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "segment", "--corpus", corpus, "--out", seg, "--k", "3", "--iterations", "2",
+        "--select", "1:2", "--sweeps", "5", "--epochs", "2", "--hidden", "8",
+        "--tc-epochs", "2", "--seed", "1",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "iter=1 ce=1.057304 tc=0.990476",
+        "iter=2 ce=0.911835 tc=0.952733",
+    ]
+    assert (tmp_path / "seg" / "segment_report.txt").read_text().splitlines()[:2] == [
+        "iter=1 tc=0.990476",
+        "iter=2 tc=0.952733",
+    ]
+    assert main([
+        "train-rsd", "--corpus", corpus, "--out", str(tmp_path / "feature"),
+        "--pipeline", "feature", "--aux", "seg", "--checkpoint", f"{seg}/segmentation.ckpt",
+        "--epochs", "3", "--hidden", "8", "--seed", "1",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "epoch=0 loss=0.017166 val_mae=3.349937",
+        "epoch=1 loss=0.009900 val_mae=3.188856",
+        "epoch=2 loss=0.007800 val_mae=1.595555",
+        "test_mae=1.0106 naive_mae=0.0564",
+    ]
+
+
 class TestDeterminism:
     def test_segment_reruns_byte_identical(self, workspace):
         args = lambda out: [
@@ -213,6 +250,39 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "--aux-weight" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline, aux", [
+        ("single", "none"), ("feature", "phase"), ("regularize", "seg"),
+    ])
+    def test_usage_error_k_outside_aux_uniform(self, tmp_path, capsys, pipeline, aux):
+        # only the uniform aux task has classes to count; rejected before the
+        # corpus loads, so a missing corpus is not reported
+        out = tmp_path / "out"
+        code = main([
+            "train-rsd", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+            "--pipeline", pipeline, "--aux", aux, "--k", "4",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--k" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline, aux", [
+        ("single", "none"), ("feature", "uniform"), ("regularize", "progress"),
+    ])
+    def test_usage_error_checkpoint_outside_aux_seg(self, tmp_path, capsys, pipeline, aux):
+        # only the seg aux task reads a segmentation checkpoint; rejected
+        # before the corpus loads and without opening the checkpoint
+        out = tmp_path / "out"
+        code = main([
+            "train-rsd", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+            "--pipeline", pipeline, "--aux", aux,
+            "--checkpoint", str(tmp_path / "nonexistent.ckpt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--checkpoint" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("duration", ["inf", "nan"])

@@ -78,6 +78,30 @@ class TestMinibatchEpochs:
                                   loss_and_grads))
         np.testing.assert_array_equal(layers[0].weights, np.ones((2, 3)))
 
+    def test_frozen_layer_without_gradient(self):
+        # a frozen layer's gradient is None in every call; it is left out of
+        # the sum and the step, and its L2 term still counts in the loss
+        layers = [DenseLayer(np.ones((2, 3)), np.zeros(2)),
+                  DenseLayer(2.0 * np.ones((2, 3)), np.zeros(2))]
+
+        def loss_and_grads(vi, idx, weight):
+            return 0.0, [None, [np.zeros((2, 3)), np.zeros(2)]]
+
+        cfg = TrainConfig(learning_rate=0.0, epochs=1, batch_size=4,
+                          l2_weight=0.5, optimizer="adam", seed=0)
+        [loss] = minibatch_epochs(layers, [False, True], [3, 5], cfg,
+                                  np.random.default_rng(0), loss_and_grads)
+        assert loss == 0.25 * (6.0 + 24.0)
+        np.testing.assert_array_equal(layers[0].weights, np.ones((2, 3)))
+
+
+def test_add_l2_counts_a_layer_without_gradient_in_the_loss_only():
+    layers = [DenseLayer(np.full((2, 3), 3.0), np.zeros(2)),
+              DenseLayer(np.ones((1, 2)), np.zeros(1))]
+    grads = [None, [np.zeros((1, 2)), np.zeros(1)]]
+    assert add_l2(layers, grads, 0.5, 0.2) == pytest.approx(0.5 + 0.1 * (54.0 + 2.0))
+    assert grads[0] is None
+    np.testing.assert_array_equal(grads[1][0], 0.2 * layers[1].weights)
 
 
 def test_add_l2_gradient_matches_finite_differences():

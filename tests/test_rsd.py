@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from segrsd import rsd
-from segrsd.appearance import TrainConfig, init_dense
+from segrsd import optim, rsd
+from segrsd.appearance import TrainConfig, _frozen_trunks, init_dense
 from segrsd.core import Corpus, VideoSequence
 from segrsd.errors import DataFormatError
 from segrsd.optim import minibatch_epochs
@@ -464,6 +464,57 @@ class TestSelectedRows:
                 params.layer_list(),
             )
             assert grad_rel_error(grads, num) < 1e-6, (aux_kind, target_kind)
+
+
+class TestFrozenEmbedding:
+    """A frozen embedding gets no gradient; feature_extraction embeds it once."""
+
+    @pytest.mark.parametrize("n_frames", [2, 181, 1800])
+    @pytest.mark.parametrize("subset", ["single", "early", "all"])
+    def test_cached_rows_match_uncached_loss(self, n_frames, subset):
+        idx = frame_subset(n_frames, subset)
+        sel = np.arange(n_frames) if idx is None else idx
+        for seed, (loss, aux_kind, target_kind) in enumerate(TestSelectedRows.CASES):
+            params, video, aux_target = TestSelectedRows._setup(
+                n_frames, aux_kind, target_kind, seed
+            )
+            params.trainable_mask[0] = False
+            want_loss, want = TestSelectedRows._call(
+                params, video, loss, aux_target, target_kind, idx
+            )
+            [(emb, ctx)] = _frozen_trunks(
+                params.embed, params.trainable_mask[:1], params.context_lambda, [video]
+            )
+            got_loss, got = rsd._rsd_loss(
+                params, video, sel, (None, emb[sel], ctx[sel]), loss, CORR,
+                aux_target, 0.7, 0.4, target_kind,
+            )
+            case = (loss, aux_kind, target_kind)
+            assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
+            assert got[0] is None and want[0] is None, case
+            assert grad_rel_error(got[1:], want[1:]) <= 1e-14, case
+
+    def test_feature_extraction_keeps_embedding_and_makes_no_adam_state(self, monkeypatch):
+        made = []
+        make = optim.make_optimizer
+        monkeypatch.setattr(optim, "make_optimizer", lambda cfg: made.append(make(cfg)) or made[-1])
+        corpus = _rsd_corpus()
+        corr = CorridorParams.from_corpus(corpus)
+        rng = np.random.default_rng(5)
+        init = AuxInit([init_dense(rng, 3, 6), init_dense(rng, 6, 5)], context_lambda=0.9)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=4, seed=1)
+        params, hist = train_rsd(
+            corpus, init, PipelineMode("feature_extraction", "uniform"),
+            "corr", cfg, corr, verbose=False,
+        )
+        for got, given in zip(params.embed, init.embed):
+            np.testing.assert_array_equal(got.weights, given.weights)
+            np.testing.assert_array_equal(got.bias, given.bias)
+        [opt] = made
+        assert isinstance(opt, optim.Adam) and set(opt._state) == {2, 3}
+        # the per-epoch val MAE read from the cached embedding is the one
+        # mae_of computes afresh
+        assert mae_of(params, corpus.by_split("val")) == min(h[2] for h in hist)
 
 
 def _rsd_corpus(seed=0, n_videos=8, period=6.0):
