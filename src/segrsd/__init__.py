@@ -6,8 +6,6 @@ from .core import (
     VideoSequence,
     derive_seed,
     derived_rng,
-    labels_to_runs,
-    runs_to_segmentation,
     segmentation_to_labels,
 )
 from .appearance import (

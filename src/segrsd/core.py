@@ -126,21 +126,6 @@ def segmentation_to_labels(seg: Segmentation) -> np.ndarray:
     return np.repeat(np.array(seg.order, dtype=np.int64), np.array(seg.lengths))
 
 
-def labels_to_runs(labels) -> list[tuple[int, int]]:
-    """Collapse a label sequence to (value, run length) pairs."""
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
-    breaks = np.flatnonzero(np.diff(arr) != 0)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [arr.size]))
-    return [(int(arr[s]), int(e - s)) for s, e in zip(starts, ends)]
-
-
-def runs_to_segmentation(runs, n_subactivities: int) -> Segmentation:
-    return Segmentation(tuple(runs), n_subactivities)
-
-
 @dataclass
 class Corpus:
     """A set of videos with a train/val/test partition by video id."""

@@ -34,7 +34,13 @@ from .errors import (
 )
 from .rsd import RsdParams
 from .segtrain import SegCheckpoint
-from .temporal import LengthModel, MallowsModel
+from .temporal import (
+    LengthModel,
+    MallowsModel,
+    inversions_to_order,
+    mallows_sample,
+    sample_lengths,
+)
 
 FEATURE_MAGIC = b"SEGRSD01"
 CHECKPOINT_MAGIC = b"SEGCKPT1"
@@ -212,6 +218,8 @@ class SynthConfig:
             raise ValueError("need at least one video with positive, finite duration")
         if not 0.0 <= self.skip_prob < 1.0 or not 0.0 <= self.duration_jitter < 1.0:
             raise ValueError("skip_prob and duration_jitter must lie in [0, 1)")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be a finite, non-negative standard deviation")
 
 
 def synth_generate(config: SynthConfig):
@@ -224,8 +232,6 @@ def synth_generate(config: SynthConfig):
     noise. Returns (corpus, truth) where truth maps id to Segmentation;
     the videos carry the true labels as phase_labels.
     """
-    from .temporal import mallows_sample, inversions_to_order, sample_lengths
-
     k = config.k_true
     centers = np.zeros((k, config.n_features))
     for j in range(k):

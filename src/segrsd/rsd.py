@@ -274,14 +274,14 @@ def _minutes(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, video: VideoSe
     return _duration_head(params, emb, ctx, video.elapsed_min())[2] / params.output_scale
 
 
-def rsd_forward(params: RsdParams, video: VideoSequence) -> np.ndarray:
+def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
     """Predicted remaining minutes at every frame."""
     _, emb, ctx = _trunk(params.embed, params.context_lambda, video.features)
     return _minutes(params, emb, ctx, video)
 
 
-def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
-    return rsd_forward(params, video)
+# the name under which the acceptance gates import it
+rsd_forward = predict_video
 
 
 def rsd_loss_and_grads(

@@ -1,10 +1,12 @@
 """Alternating trainer: appearance model vs. generative temporal model.
 
 Each iteration trains the classifier on the current pseudo-labels with the
-staged layer mask, refreshes the order/length models from the current
-segmentations, resamples every training video's segmentation, and records a
-checkpoint scored by temporal coherence (TC). The best checkpoint inside a
-trailing iteration window is the one handed to downstream training.
+staged layer mask, runs it once over every training video, refreshes the
+order/length models from the current segmentations, resamples every training
+video's segmentation from the classifier's probabilities, and records a
+checkpoint scored by the temporal coherence (TC) of the same probabilities.
+The best checkpoint inside a trailing iteration window is the one handed to
+downstream training.
 
 Fixed settings: the Mallows prior holds NU0 pseudo-observations of R0
 inversions per slot (R0 also disperses the initial orders), the length model
@@ -210,8 +212,12 @@ def select_checkpoint(checkpoints: Sequence[SegCheckpoint], window: tuple[int, i
 def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[SegCheckpoint]:
     """Alternate classifier training and segmentation resampling.
 
-    Returns one checkpoint per completed iteration; a non-finite training
-    loss ends the run early with the checkpoints gathered so far.
+    One classifier pass per iteration gives every training video's
+    probability table; the sampler, the iteration's cross-entropy against
+    the labels it trained on and its TC all read those tables. Returns one
+    checkpoint per completed iteration, whose labels the next iteration
+    trains on; a non-finite training loss ends the run early with the
+    checkpoints gathered so far.
     """
     videos = corpus.by_split("train")
     if not videos:
@@ -233,9 +239,9 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
     mallows = MallowsModel.with_constant_rho(k, R0, NU0, R0)
     length_model = LengthModel.uniform(k, ALPHA0)
 
+    labels = {vid: segmentation_to_labels(seg) for vid, seg in segs.items()}
     checkpoints: list[SegCheckpoint] = []
     for iteration in range(1, config.iterations + 1):
-        labels = {vid: segmentation_to_labels(seg) for vid, seg in segs.items()}
         params.trainable_mask = staged_mask(iteration, len(params.layers))
         train_cfg = TrainConfig(
             epochs=config.epochs_per_iteration,
@@ -264,8 +270,9 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
             for v in videos
         }
 
-        ce = mean_cross_entropy(params, videos, labels)
-        tc = tc_measure(params, videos)
+        ce = mean_cross_entropy(probs, labels)
+        tc = tc_from_labels([np.argmax(p, axis=1) for p in probs.values()], k)
+        labels = {vid: segmentation_to_labels(seg) for vid, seg in segs.items()}
         if verbose:
             print(f"iter={iteration} ce={ce:.6f} tc={tc:.6f}")
         checkpoints.append(
@@ -274,7 +281,7 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
                 appearance=params.copy(),
                 mallows=copy.deepcopy(mallows),
                 lengths=copy.deepcopy(length_model),
-                labels={vid: segmentation_to_labels(seg) for vid, seg in segs.items()},
+                labels=labels,
                 tc_score=tc,
             )
         )

@@ -11,6 +11,7 @@ from segrsd.appearance import (
     cross_entropy_loss_and_grads,
     forward,
     init_appearance,
+    log_softmax,
     mean_cross_entropy,
     sample_distant_pairs,
     staged_mask,
@@ -20,10 +21,10 @@ from segrsd.appearance import (
     train_appearance,
     _cross_entropy,
     _frozen_trunks,
-    _pooled_cross_entropy,
 )
 from segrsd.core import VideoSequence
 from segrsd.errors import NumericalError
+from segrsd.temporal import LOG_FLOOR
 
 from conftest import finite_difference_grads, frame_subset, grad_rel_error, make_video
 
@@ -213,6 +214,31 @@ class TestCrossEntropySelectedRows:
         assert grad_rel_error(grads, num) < 1e-6
 
 
+class TestMeanCrossEntropy:
+    """The pooled CE of probability tables against a log_softmax reference."""
+
+    def test_matches_pooled_log_softmax(self):
+        rng = np.random.default_rng(4)
+        logits = {f"v{i}": 3.0 * rng.standard_normal((n, 5)) for i, n in enumerate((1, 40, 333))}
+        labels = {vid: rng.integers(0, 5, size=len(z)) for vid, z in logits.items()}
+        ref = -sum(
+            log_softmax(z)[np.arange(len(z)), labels[vid]].sum() for vid, z in logits.items()
+        ) / sum(len(z) for z in logits.values())
+        got = mean_cross_entropy({vid: softmax(z) for vid, z in logits.items()}, labels)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_zero_probability_floored(self):
+        # log_softmax keeps the CE finite at -800; the table's 0 is floored
+        logits = np.array([[0.0, 0.0], [0.0, -800.0], [1.0, 0.0]])
+        table = softmax(logits)
+        assert table[1, 1] == 0.0
+        lp = log_softmax(logits)
+        want = -(lp[0, 0] + LOG_FLOOR + lp[2, 0]) / 3
+        got = mean_cross_entropy({"v0": table}, {"v0": np.array([0, 1, 0])})
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 class TestFrozenEmbedding:
     """Frozen layers get no gradient; a training call embeds a frozen stack once."""
 
@@ -242,17 +268,6 @@ class TestFrozenEmbedding:
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
         assert got[:2] == want[:2] == [None, None]
         assert grad_rel_error(got[2:], want[2:]) <= 1e-14
-
-    def test_cached_mean_cross_entropy_matches(self):
-        params, video, labels = self._setup(181, [False, False, True])
-        videos = [video, make_video("v1", n_frames=40, n_features=3, seed=1)]
-        labs = [labels, np.arange(40) % 3]
-        frozen = _frozen_trunks(
-            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos
-        )
-        assert _pooled_cross_entropy(params.layers[-1], frozen, labs) == mean_cross_entropy(
-            params, videos, {v.id: y for v, y in zip(videos, labs)}
-        )
 
     def test_partly_frozen_stack_keeps_trainable_gradients(self):
         # the backward pass stops at the first trainable layer; what it
@@ -423,11 +438,11 @@ class TestTrainAppearance:
 
     def test_cross_entropy_decreases(self):
         videos, labels, params = self._setup()
-        before = mean_cross_entropy(params, videos, labels)
+        before = mean_cross_entropy({v.id: forward(params, v) for v in videos}, labels)
         out = train_appearance(
             videos, labels, params, TrainConfig(epochs=30, seed=1)
         )
-        after = mean_cross_entropy(out, videos, labels)
+        after = mean_cross_entropy({v.id: forward(out, v) for v in videos}, labels)
         assert after < before
 
     def test_batch_weights_each_video_equally(self):

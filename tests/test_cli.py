@@ -207,6 +207,16 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_usage_error_negative_noise(self, tmp_path, capsys):
+        # a standard deviation below zero is the user's mistake; no corpus is written
+        out = tmp_path / "c"
+        assert main([
+            "synth", "--out", str(out), "--videos", "8", "--k", "2", "--d", "2",
+            "--duration-mean", "0.3", "--noise", "-1",
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("segment", "--hidden", "0"),
         ("segment", "--sweeps", "-1"),
@@ -368,19 +378,28 @@ def test_no_global_statements():
 
 def test_no_unreferenced_definitions():
     # dead-code guard: every function, class and method the package defines is
-    # referenced somewhere in it (an import, so an export from __init__, counts);
-    # dunders are exempt
+    # referenced by package code outside __init__ (so an export alone does not
+    # count), by the acceptance gates or by the benchmark, which also names
+    # functions in strings to trace them; dunders are exempt
+    package = Path(segrsd.__file__).parent
+    root = Path(__file__).parents[1]
     defined, used = {}, set()
-    for path in sorted(Path(segrsd.__file__).parent.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
+    users = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    users += [root / "tests" / "test_acceptance.py", *sorted(root.glob("perfbench/*.py"))]
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+            elif isinstance(node, ast.Constant) and path.parent.name == "perfbench":
+                used.add(node.value)
     unused = [
         f"{where} {name}" for name, where in sorted(defined.items())
         if name not in used and not (name.startswith("__") and name.endswith("__"))

@@ -7,8 +7,6 @@ from segrsd.core import (
     VideoSequence,
     derive_seed,
     derived_rng,
-    labels_to_runs,
-    runs_to_segmentation,
     segmentation_to_labels,
 )
 
@@ -36,29 +34,6 @@ class TestSegmentationToLabels:
             lengths = rng.integers(1, 7, size=k)
             seg = Segmentation(tuple(zip(order.tolist(), lengths.tolist())), k)
             assert len(segmentation_to_labels(seg)) == lengths.sum()
-
-
-class TestLabelsToRuns:
-    def test_basic(self):
-        assert labels_to_runs([0, 0, 1, 1]) == [(0, 2), (1, 2)]
-
-    def test_single(self):
-        assert labels_to_runs([0]) == [(0, 1)]
-
-    def test_alternating(self):
-        assert labels_to_runs([0, 1, 0]) == [(0, 1), (1, 1), (0, 1)]
-
-    def test_round_trip_with_segmentation(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            k = int(rng.integers(2, 6))
-            n_present = int(rng.integers(1, k + 1))
-            order = rng.permutation(k)[:n_present]
-            lengths = rng.integers(1, 7, size=n_present)
-            seg = Segmentation(tuple(zip(order.tolist(), lengths.tolist())), k)
-            runs = labels_to_runs(segmentation_to_labels(seg))
-            assert runs == list(zip(order.tolist(), lengths.tolist()))
-            assert runs_to_segmentation(runs, k) == seg
 
 
 class TestSegmentation:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from segrsd import appearance
 from segrsd.appearance import forward, init_appearance
 from segrsd.core import Corpus, Segmentation, VideoSequence, derived_rng, segmentation_to_labels
 from segrsd.segtrain import (
@@ -257,3 +258,33 @@ class TestRun:
         assert len(lines) == 2
         assert lines[0].startswith("iter=1 ce=")
         assert " tc=" in lines[0]
+
+    def _three_iterations(self):
+        corpus = _oracle_corpus(n_videos=5)
+        config = SegTrainConfig(
+            n_subactivities=2, iterations=3, epochs_per_iteration=2,
+            selection_window=(1, 3), sweeps_per_iteration=3,
+            hidden_dim=4, tc_pretrain_epochs=1, seed=2,
+        )
+        return corpus, config
+
+    def test_one_classifier_pass_per_iteration(self, monkeypatch):
+        # whole-video trunk passes: one per video per iteration, which the
+        # sampler, the CE and the TC share, plus iteration 1's frozen cache
+        corpus, config = self._three_iterations()
+        trunk, whole = appearance._trunk, []
+
+        def counted(layers, lam, feats, rows=None):
+            if rows is None:
+                whole.append(len(feats))
+            return trunk(layers, lam, feats, rows)
+
+        monkeypatch.setattr(appearance, "_trunk", counted)
+        assert len(run(corpus, config, verbose=False)) == 3
+        assert len(whole) == 5 * 3 + 5
+
+    def test_checkpoint_tc_is_tc_measure(self):
+        corpus, config = self._three_iterations()
+        videos = corpus.by_split("train")
+        for ckpt in run(corpus, config, verbose=False):
+            assert ckpt.tc_score == tc_measure(ckpt.appearance, videos)
