@@ -2,7 +2,10 @@
 
 A stack of tanh dense layers embeds each frame; a causal exponential
 accumulator c_t = lam * c_{t-1} + (1 - lam) * e_t (c_0 = e_0) summarizes the
-past; the softmax head classifies [e_t, c_t] into subactivities. Training
+past; the softmax head classifies [e_t, c_t] into subactivities. Whole-video
+passes compute the accumulator by a log-step scan over every frame
+(context_accumulate); a training batch computes it at its rows only
+(_row_context) and backpropagates through its exact adjoint. Training
 supports per-layer freezing, which the alternating trainer uses to unfreeze
 one extra layer per iteration, and a temporal-coherence objective pretrains
 the embedding before the first iteration.
@@ -141,11 +144,95 @@ def context_accumulate(features, lam: float) -> np.ndarray:
     return _decay_scan(out, lam)
 
 
-def context_backward(grad_ctx: np.ndarray, lam: float) -> np.ndarray:
-    """Adjoint of context_accumulate: gradient w.r.t. the raw inputs."""
-    acc = _decay_scan(np.array(grad_ctx[::-1], dtype=np.float64), lam)[::-1]
-    out = (1.0 - lam) * acc
-    out[0] = acc[0]  # c_0 copies f_0 with unit weight
+# _row_plan's dense form is used while its weight matrix has at most this many
+# entries (128 KB, glibc's default mmap threshold): on short prefixes two matrix
+# products cost less than the row scan's many small steps
+_DENSE_ROW_WEIGHTS = 16384
+
+
+def _row_plan(rows, lam: float):
+    """Bookkeeping of the context at sorted distinct rows i_1 < ... < i_K.
+
+    With a_0 = 1 and a_s = 1 - lam otherwise, context_accumulate gives
+    ctx_t = sum_{s<=t} a_s lam**(t-s) e_s, a linear map of frames 0..i_K.
+    Returns (rows, form). On a short prefix form is that map's K x (i_K + 1)
+    matrix. Otherwise it is (lengths, weights, steps): split frames 0..i_K
+    into the segments (i_{k-1}, i_k] and let S_k = sum over segment k of
+    a_s lam**(i_k-s) e_s; then ctx[i_k] = sum_{j<=k} lam**(i_k-i_j) S_j, a scan
+    over the K rows only. lengths are the segments' frame counts, weights the
+    a_s lam**(i_k-s) of every frame, and steps the (shift m, factors
+    lam**(i_k - i_{k-m})) of a log-step scan over the rows, which stops as
+    _decay_scan does. Every power comes from one call, and those below eps**2
+    are flushed to 0 as in _decay_scan. Built once per video and batch, the
+    plan serves _row_context and its adjoint.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or not len(rows):
+        raise ValueError("rows must be a non-empty 1-d array of frame indices")
+    lengths = rows.copy()
+    lengths[0] += 1
+    lengths[1:] -= rows[:-1]
+    if lengths.min() < 1:
+        raise ValueError("rows must be sorted, distinct and non-negative")
+    tiny = np.finfo(np.float64).eps ** 2
+    n = int(rows[-1]) + 1
+    if len(rows) * n <= _DENSE_ROW_WEIGHTS:
+        # lam**d at d = i_k - s; the zero upper half serves d < 0 (s after i_k)
+        powers = np.zeros(2 * n)
+        powers[:n] = np.power(lam, np.arange(n), dtype=np.float64)
+        powers[powers < tiny] = 0.0
+        matrix = powers[rows[:, None] - np.arange(n)]
+        matrix[:, 1:] *= 1.0 - lam
+        return rows, matrix
+    shifts, m = [], 1
+    while m < len(rows) and lam ** m > tiny:
+        shifts.append(m)
+        m *= 2
+    span = int(lengths.max())
+    powers = np.power(
+        lam, np.concatenate([np.arange(span), *(rows[m:] - rows[:-m] for m in shifts)]),
+        dtype=np.float64,
+    )
+    powers[powers < tiny] = 0.0
+    # frame s of segment k sits i_k - s frames before its row
+    weights = powers[np.repeat(rows, lengths) - np.arange(n)]
+    weights[1:] *= 1.0 - lam
+    steps, at = [], span
+    for m in shifts:
+        steps.append((m, powers[at:at + len(rows) - m, None]))
+        at += len(rows) - m
+    return rows, (lengths, weights, steps)
+
+
+def _row_context(plan, e: np.ndarray) -> np.ndarray:
+    """context_accumulate(e, lam)[rows] for e over frames 0..i_K; (K, dims).
+
+    The dense form is one matrix product. The segment form takes one
+    weighted reduceat over the prefix for the segment sums and a log-step
+    scan (Hillis & Steele 1986) over the K rows only.
+    """
+    rows, form = plan
+    if isinstance(form, np.ndarray):
+        return form @ e
+    lengths, weights, steps = form
+    c = np.add.reduceat(weights[:, None] * e, rows - lengths + 1, axis=0)
+    for m, f in steps:
+        c[m:] += f * c[:-m]
+    return c
+
+
+def _row_context_adjoint(plan, grad_ctx: np.ndarray) -> np.ndarray:
+    """Adjoint of _row_context: the gradient at frames 0..i_K of e from the
+    gradient at the rows of its context."""
+    _, form = plan
+    if isinstance(form, np.ndarray):
+        return form.T @ grad_ctx
+    lengths, weights, steps = form
+    g = np.array(grad_ctx, dtype=np.float64)
+    for m, f in reversed(steps):
+        g[:-m] += f * g[m:]
+    out = np.repeat(g, lengths, axis=0)
+    out *= weights[:, None]
     return out
 
 
@@ -163,25 +250,30 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray) -> list[np.ndarray]:
     acts = [np.asarray(feats, dtype=np.float64)]
     for layer in layers:
-        acts.append(np.tanh(acts[-1] @ layer.weights.T + layer.bias))
+        # in place: one frames-sized array per layer, not three
+        z = acts[-1] @ layer.weights.T
+        z += layer.bias
+        acts.append(np.tanh(z, out=z))
     return acts
 
 
 def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows=None):
-    """Embedding chain and causal context of feats; (acts, emb, ctx).
+    """Embedding chain and causal context of feats; (back, emb, ctx).
 
-    With rows (sorted frame indices) the chain runs through frame max(rows)
-    only, since the context is causal, and emb and ctx are taken at rows;
-    without, both cover every frame. acts are the chain's activations, input
-    first, for the backward pass.
+    Without rows, emb and ctx cover every frame and back is None. With rows
+    (sorted distinct frame indices) the chain runs through frame max(rows)
+    only, since the context is causal, emb and ctx are taken at rows, and the
+    context is computed there alone (_row_context); back = (acts, plan) holds
+    the chain's activations, input first, and the rows' plan for
+    _selected_backward.
     """
-    if rows is not None:
-        feats = feats[:rows.max() + 1]
-    acts = _embed_chain(layers, feats)
-    ctx = context_accumulate(acts[-1], lam)
     if rows is None:
-        return acts, acts[-1], ctx
-    return acts, acts[-1][rows], ctx[rows]
+        emb = _embed_chain(layers, feats)[-1]
+        return None, emb, context_accumulate(emb, lam)
+    plan = _row_plan(rows, lam)
+    rows = plan[0]
+    acts = _embed_chain(layers, feats[:rows[-1] + 1])
+    return (acts, plan), acts[-1][rows], _row_context(plan, acts[-1])
 
 
 def _frozen_trunks(layers, mask, lam, videos):
@@ -219,7 +311,10 @@ def _embed_backward(layers, mask, acts, d_embedding):
     d = d_embedding
     for i in range(len(layers) - 1, first - 1, -1):
         a = acts[i + 1]
-        dpre = d * (1.0 - a * a)
+        # d * (1 - a*a), in place: one frames-sized array, not three
+        dpre = a * a
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= d
         if mask[i]:
             grads[i] = [dpre.T @ acts[i], dpre.sum(axis=0)]
         if i > first:
@@ -227,18 +322,20 @@ def _embed_backward(layers, mask, acts, d_embedding):
     return grads
 
 
-def _selected_backward(layers, mask, acts, lam, idx, d_phi):
-    """Backprop a gradient at rows idx (distinct frames) of [embedding, context].
+def _selected_backward(layers, mask, back, d_phi):
+    """Backprop a gradient at the batch rows of [embedding, context].
 
-    The context is causal, so acts need only reach frame max(idx). A wholly
-    frozen embedding gets [None, ...] and may come without acts.
+    back = (acts, plan) comes from _trunk with rows; the context's adjoint
+    reaches frames 0..max(rows) only. A wholly frozen embedding gets
+    [None, ...] and may come without back.
     """
     if not any(mask):
         return [None] * len(layers)
+    acts, plan = back
     h = acts[-1].shape[1]
-    d = np.zeros((len(acts[-1]), 2 * h))
-    d[idx] = d_phi
-    return _embed_backward(layers, mask, acts, d[:, :h] + context_backward(d[:, h:], lam))
+    d = _row_context_adjoint(plan, d_phi[:, h:])
+    d[plan[0]] += d_phi[:, :h]
+    return _embed_backward(layers, mask, acts, d)
 
 
 def softmax_cross_entropy(logits, labels, weight: float = 1.0):
@@ -265,28 +362,28 @@ def cross_entropy_loss_and_grads(
 ):
     """Mean cross-entropy over the selected frames, with analytic gradients.
 
+    frame_indices are sorted distinct frames (default: every frame).
     Gradients flow through the context accumulator, so earlier frames of the
     sequence contribute even when only later frames are selected. Frames
-    after the last selected one reach no loss, so the embedding and context
-    run through that frame only, and the head runs on the selected rows.
-    Returns (loss, grads) with grads aligned to params.layers; frozen
-    embedding layers get None.
+    after the last selected one reach no loss, so the embedding runs through
+    that frame only, the context is computed at the selected rows only, and
+    the head runs on those rows. Returns (loss, grads) with grads aligned to
+    params.layers; frozen embedding layers get None.
     """
     idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
     trunk = _trunk(params.layers[:-1], params.context_lambda, feats, idx)
-    return _cross_entropy(params, trunk, np.asarray(labels)[idx], idx, weight)
+    return _cross_entropy(params, trunk, np.asarray(labels)[idx], weight)
 
 
-def _cross_entropy(params: AppearanceParams, trunk, labels, idx, weight):
-    """The head and loss of cross_entropy_loss_and_grads on trunk = (acts, emb,
-    ctx) at rows idx; acts may be None when the whole embedding is frozen."""
-    acts, emb, ctx = trunk
+def _cross_entropy(params: AppearanceParams, trunk, labels, weight):
+    """The head and loss of cross_entropy_loss_and_grads on trunk = (back, emb,
+    ctx) at the batch rows; back may be None when the whole embedding is frozen."""
+    back, emb, ctx = trunk
     head = params.layers[-1]
     phi, logits = _logits(head, emb, ctx)
     loss, dlogits = softmax_cross_entropy(logits, labels, weight)
     grads = _selected_backward(
-        params.layers[:-1], params.trainable_mask[:-1], acts, params.context_lambda,
-        idx, dlogits @ head.weights,
+        params.layers[:-1], params.trainable_mask[:-1], back, dlogits @ head.weights,
     )
     grads.append([dlogits.T @ phi, dlogits.sum(axis=0)])
     return loss, grads
@@ -352,7 +449,7 @@ def train_appearance(
                 out, videos[vi].features, labs[vi], idx, weight=weight
             )
         emb, ctx = frozen[vi]
-        return _cross_entropy(out, (None, emb[idx], ctx[idx]), labs[vi][idx], idx, weight)
+        return _cross_entropy(out, (None, emb[idx], ctx[idx]), labs[vi][idx], weight)
 
     for _ in minibatch_epochs(
         out.layers, out.trainable_mask, [v.n_frames for v in videos], config,
@@ -380,6 +477,17 @@ def sample_distant_pairs(n_frames: int, n_pairs: int, gap: int, rng) -> np.ndarr
     return np.stack([t, u], axis=1)
 
 
+def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at(out, rows, values) for a C-contiguous 2-d out, rows repeating.
+
+    It makes the same additions in the same order, on the flat array at
+    indices row * width + column, which np.add.at handles several times faster.
+    """
+    width = out.shape[1]
+    flat_idx = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat_idx, values.reshape(-1))
+
+
 def temporal_coherence_loss_and_grads(
     params: AppearanceParams,
     feats: np.ndarray,
@@ -399,7 +507,7 @@ def temporal_coherence_loss_and_grads(
     acts = _embed_chain(embed, feats)
     e = acts[-1]
     n = len(e)
-    d_emb = np.zeros_like(e)
+    d_emb = np.zeros(e.shape)
     loss = 0.0
     if n >= 2:
         d1 = e[1:] - e[:-1]
@@ -424,8 +532,8 @@ def temporal_coherence_loss_and_grads(
         loss += float((viol * viol).sum()) / len(pairs)
         coef = np.where(viol > 0, -2.0 * viol / dist, 0.0) / len(pairs)
         gp = coef[:, None] * diff
-        np.add.at(d_emb, ti, gp)
-        np.add.at(d_emb, ui, -gp)
+        _add_rows_at(d_emb, ti, gp)
+        _add_rows_at(d_emb, ui, -gp)
     return loss, _embed_backward(embed, params.trainable_mask[:-1], acts, d_emb)
 
 

@@ -28,23 +28,29 @@ def mae_minutes(
 def label_match_accuracy(predicted: np.ndarray, reference: np.ndarray):
     """Accuracy under the best many-to-one mapping of predicted onto reference.
 
-    Each predicted label is mapped to the reference label it co-occurs with
-    most often (ties to the smaller reference label). Returns (mapping,
-    accuracy). This is the usual protocol for comparing an unsupervised
-    labelling against ground truth when cluster identities are arbitrary.
+    Labels are non-negative integers. Each predicted label is mapped to the
+    reference label it co-occurs with most often (ties to the smaller
+    reference label). Returns (mapping, accuracy). This is the usual protocol
+    for comparing an unsupervised labelling against ground truth when
+    cluster identities are arbitrary.
     """
     predicted = np.asarray(predicted)
     reference = np.asarray(reference)
-    if predicted.shape != reference.shape or predicted.ndim != 1:
-        raise ValueError("label arrays must be 1-d and equally long")
+    if predicted.shape != reference.shape or predicted.ndim != 1 or not predicted.size:
+        raise ValueError("label arrays must be 1-d, non-empty and equally long")
+    if predicted.min() < 0 or reference.min() < 0:
+        raise ValueError("labels must be non-negative")
+    # co-occurrence counts: table[p, r] = frames labelled p here and r there
+    n_ref = int(reference.max()) + 1
+    n_pred = int(predicted.max()) + 1
+    table = np.bincount(predicted * n_ref + reference, minlength=n_pred * n_ref)
+    table = table.reshape(n_pred, n_ref)
     mapping = {}
     correct = 0
-    for p in np.unique(predicted):
-        mask = predicted == p
-        refs, counts = np.unique(reference[mask], return_counts=True)
-        best = refs[np.argmax(counts)]
-        mapping[int(p)] = int(best)
-        correct += int(counts.max())
+    for p in np.flatnonzero(table.sum(axis=1)):
+        best = int(np.argmax(table[p]))
+        mapping[int(p)] = best
+        correct += int(table[p, best])
     return mapping, correct / len(predicted)
 
 

@@ -5,7 +5,9 @@ Frozen embedding layers get no gradient at all (None in place of the pair),
 and the optimizers skip every frozen layer (mask False), so their parameters
 stay bit-identical and no optimizer state is made for them.
 `minibatch_epochs` is the one frame minibatch loop; the classifier and the
-duration regressor differ only in the per-video loss they hand it.
+duration regressor differ only in the per-video loss they hand it. Those
+losses embed a video through its last selected frame and compute the causal
+context at the selected frames only, so a batch never scans a whole prefix.
 """
 from __future__ import annotations
 
@@ -110,7 +112,7 @@ def minibatch_epochs(
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start:start + config.batch_size]
             batch_videos = video_of[batch]
-            touched = np.unique(batch_videos)
+            touched = np.flatnonzero(np.bincount(batch_videos))
             loss, total = 0.0, None
             for vi in touched:
                 idx = np.sort(frame_of[batch[batch_videos == vi]])

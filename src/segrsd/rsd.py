@@ -98,10 +98,14 @@ class CorridorParams:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus):
-        durations = [v.duration_min for v in corpus.by_split("train")]
-        if not durations:
+        durations = np.sort([v.duration_min for v in corpus.by_split("train")])
+        n = len(durations)
+        if not n:
             raise ValueError("corpus has no training videos")
-        return cls(float(np.median(durations)))
+        # the middle value or the mean of the middle two: np.median's value,
+        # without the numpy.ma import np.median makes on first use
+        middle = durations[(n - 1) // 2:n // 2 + 1]
+        return cls(float(middle.sum() / len(middle)))
 
 
 def _progress_of(video: VideoSequence) -> np.ndarray:
@@ -299,7 +303,8 @@ def rsd_loss_and_grads(
 
     target_kind "duration" regresses scaled remaining minutes; "progress"
     regresses prog(t) directly (used to pretrain transfer embeddings).
-    The embedding and context run through the last selected frame, the
+    frame_indices are sorted distinct frames (default: every frame). The
+    embedding runs through the last selected frame, the context and the
     heads on the selected rows only. Returns (loss, grads) with grads
     aligned to params.layer_list(); frozen embedding layers get None.
     """
@@ -311,9 +316,9 @@ def rsd_loss_and_grads(
 
 def _rsd_loss(params: RsdParams, video, idx, trunk, loss_name, corridor,
               aux_target, aux_weight, weight, target_kind):
-    """The heads and losses of rsd_loss_and_grads on trunk = (acts, emb, ctx)
-    at rows idx; acts may be None when the whole embedding is frozen."""
-    acts, emb, ctx = trunk
+    """The heads and losses of rsd_loss_and_grads on trunk = (back, emb, ctx)
+    at rows idx; back may be None when the whole embedding is frozen."""
+    back, emb, ctx = trunk
     elapsed = video.elapsed_min()[idx]
     remaining = video.remaining_min()[idx]
     inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
@@ -360,8 +365,7 @@ def _rsd_loss(params: RsdParams, video, idx, trunk, loss_name, corridor,
 
     n_embed = len(params.embed)
     grads = _selected_backward(
-        params.embed, params.trainable_mask[:n_embed], acts, params.context_lambda,
-        idx, dinp[:, :2 * h],
+        params.embed, params.trainable_mask[:n_embed], back, dinp[:, :2 * h],
     )
     grads.append(grad_h1)
     grads.append(grad_h2)

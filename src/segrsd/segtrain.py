@@ -143,9 +143,9 @@ def best_coherent_match(pred_labels, n_subactivities: int) -> CoherentMatch:
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("predictions must be a non-empty 1-d label sequence")
     n_frames = labels.size
-    present = sorted(int(k) for k in np.unique(labels))
-    if present[0] < 0 or present[-1] >= n_subactivities:
+    if labels.min() < 0 or labels.max() >= n_subactivities:
         raise ValueError("labels outside [0, K)")
+    present = np.flatnonzero(np.bincount(labels)).tolist()
     n = len(present)
     if n > MAX_COHERENT_LABELS:
         raise ValueError(

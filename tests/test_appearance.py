@@ -7,7 +7,6 @@ from segrsd.appearance import (
     DenseLayer,
     TrainConfig,
     context_accumulate,
-    context_backward,
     cross_entropy_loss_and_grads,
     forward,
     init_appearance,
@@ -19,9 +18,14 @@ from segrsd.appearance import (
     tc_pretrain,
     temporal_coherence_loss_and_grads,
     train_appearance,
+    _add_rows_at,
     _cross_entropy,
     _frozen_trunks,
+    _row_context,
+    _row_context_adjoint,
+    _row_plan,
 )
+from segrsd import appearance
 from segrsd.core import VideoSequence
 from segrsd.errors import NumericalError
 from segrsd.temporal import LOG_FLOOR
@@ -60,12 +64,14 @@ class TestContextAccumulate:
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_backward_is_adjoint(self, lam):
-        # <A f, g> == <f, A^T g> for the linear accumulator A
+        # <A f, g> == <f, A^T g> for the accumulator A at every frame, whose
+        # adjoint is the row-only one with every frame a row
         rng = np.random.default_rng(4)
         f = rng.standard_normal((9, 3))
         g = rng.standard_normal((9, 3))
+        plan = _row_plan(np.arange(9), lam)
         lhs = float((context_accumulate(f, lam) * g).sum())
-        rhs = float((f * context_backward(g, lam)).sum())
+        rhs = float((f * _row_context_adjoint(plan, g)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99])
@@ -81,13 +87,142 @@ class TestContextAccumulate:
             expected[t] = lam * expected[t - 1] + (1.0 - lam) * f[t]
         np.testing.assert_allclose(context_accumulate(f, lam), expected, rtol=1e-12)
         if n_frames == 1800:
-            # the backward pass receives a strided column slice of the head gradient
+            # the backward pass receives a strided column slice of the head
+            # gradient at the batch rows
             h = 3
-            dphi = rng.standard_normal((n_frames, 2 * h))
-            g = rng.standard_normal((n_frames, h))
-            lhs = float((context_accumulate(g, lam) * dphi[:, h:]).sum())
-            rhs = float((g * context_backward(dphi[:, h:], lam)).sum())
+            rows = np.sort(rng.choice(n_frames, size=48, replace=False))
+            dphi = rng.standard_normal((len(rows), 2 * h))
+            g = rng.standard_normal((rows[-1] + 1, h))
+            plan = _row_plan(rows, lam)
+            lhs = float((context_accumulate(g, lam)[rows] * dphi[:, h:]).sum())
+            rhs = float((g * _row_context_adjoint(plan, dphi[:, h:])).sum())
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# (n_frames, lam, rows): a single first frame, every frame, one frame, no
+# decay, gaps longer than the lam = 0.9 horizon (about 685 frames to eps**2),
+# a sparse and a dense batch, and rows reaching only part of the video; the
+# first half takes the plan's dense form, the second half its segment form
+ROW_CASES = [
+    (50, 0.9, [0]),
+    (50, 0.9, list(range(50))),
+    (1, 0.9, [0]),
+    (60, 0.0, [0, 7, 8, 31]),
+    (3001, 0.9, [0, 1500, 3000]),
+    (181, 0.99, "early"),
+    (3001, 0.9, [2, 700, 701, 1500, 2200, 2999, 3000]),
+    (200, 0.9, list(range(200))),
+    (3000, 0.0, "sparse"),
+    (1800, 0.9, "sparse"),
+    (1800, 0.5, "dense"),
+    (1800, 0.99, "sparse"),
+]
+
+
+def _row_case(n_frames, lam, rows):
+    rng = np.random.default_rng(n_frames + int(100 * lam))
+    if rows == "sparse":
+        rows = rng.choice(n_frames, size=48, replace=False)
+    elif rows == "dense":
+        rows = rng.choice(n_frames, size=n_frames // 2, replace=False)
+    elif rows == "early":
+        rows = rng.choice(n_frames // 2, size=20, replace=False)
+    rows = np.sort(np.asarray(rows))
+    return rng.standard_normal((n_frames, 4)), lam, rows
+
+
+class TestRowContext:
+    """The context at the batch rows only, against the whole-prefix scan."""
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_matches_whole_context_at_rows(self, case):
+        e, lam, rows = _row_case(*case)
+        want = context_accumulate(e, lam)[rows]
+        got = _row_context(_row_plan(rows, lam), e[:rows[-1] + 1])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_adjoint_identity(self, case):
+        # <ctx(e), g> == <e, adj(g)> over frames 0..max(rows)
+        e, lam, rows = _row_case(*case)
+        e = e[:rows[-1] + 1]
+        g = np.random.default_rng(len(rows)).standard_normal((len(rows), e.shape[1]))
+        plan = _row_plan(rows, lam)
+        lhs = float((_row_context(plan, e) * g).sum())
+        adj = _row_context_adjoint(plan, g)
+        assert adj.shape == e.shape
+        assert lhs == pytest.approx(float((e * adj).sum()), rel=1e-12)
+
+    def test_forms_cover_the_cases(self):
+        dense = [isinstance(_row_plan(_row_case(*c)[2], c[1])[1], np.ndarray) for c in ROW_CASES]
+        assert dense == [True] * 6 + [False] * 6
+
+    @pytest.mark.parametrize("n_rows", [64, 65])
+    def test_dense_form_up_to_its_size_limit(self, n_rows):
+        # 64 rows of a 256-frame prefix fill the dense form's 16384 entries
+        e, lam, _ = _row_case(256, 0.9, [0])
+        rows = np.linspace(0, 255, n_rows).astype(np.int64)
+        plan = _row_plan(rows, lam)
+        assert isinstance(plan[1], np.ndarray) == (n_rows == 64)
+        want = context_accumulate(e, lam)[rows]
+        assert np.abs(_row_context(plan, e) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows", [[9999], [0, 9999], "sparse", "dense"])
+    def test_long_video_finite_without_subnormals(self, rows):
+        e, lam, rows = _row_case(10_000, 0.9, rows)
+        plan = _row_plan(rows, lam)
+        ctx = _row_context(plan, e[:rows[-1] + 1])
+        adj = _row_context_adjoint(plan, np.ones_like(ctx))
+        form = plan[1]
+        if isinstance(form, np.ndarray):
+            parts = [form]
+        else:
+            parts = [form[1], *(f for _, f in form[2])]
+        for arr in (ctx, adj, *parts):
+            assert np.isfinite(arr).all()
+            tiny = np.abs(arr)[arr != 0.0]
+            assert not len(tiny) or tiny.min() >= np.finfo(np.float64).tiny
+        want = context_accumulate(e, lam)[rows]
+        assert np.abs(ctx - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows", [[], [3, 2], [1, 1, 4], [-1, 2]])
+    def test_rejects_rows_not_sorted_distinct(self, rows):
+        with pytest.raises(ValueError):
+            _row_plan(np.array(rows, dtype=np.int64), 0.9)
+
+    def test_trainable_batches_scan_no_prefix(self, monkeypatch):
+        # a trainable batch computes its context at the rows alone: no
+        # whole-prefix _decay_scan, which a whole-video forward still makes
+        scans = []
+        scan = appearance._decay_scan
+        monkeypatch.setattr(
+            appearance, "_decay_scan", lambda y, lam: scans.append(len(y)) or scan(y, lam)
+        )
+        videos = [make_video(f"v{i}", n_frames=40, n_features=3, seed=i) for i in range(3)]
+        labels = {v.id: np.arange(40) // 14 for v in videos}
+        params = init_appearance(np.random.default_rng(0), 3, [4], 3)
+        out = train_appearance(videos, labels, params, TrainConfig(epochs=2, batch_size=16))
+        assert not np.array_equal(out.layers[0].weights, params.layers[0].weights)
+        assert scans == []
+        forward(out, videos[0])
+        assert scans == [40]
+
+
+class TestAddRowsAt:
+    @pytest.mark.parametrize("n_rows", [1, 180, 1800])
+    def test_equals_two_dim_add_at(self, n_rows):
+        # repeated rows and values of mixed magnitude: any change in the
+        # order of the additions would show in the last bits
+        rng = np.random.default_rng(n_rows)
+        rows = rng.integers(n_rows, size=n_rows)
+        values = rng.standard_normal((n_rows, 32)) * 10.0 ** rng.integers(-8, 8, (n_rows, 1))
+        start = rng.standard_normal((n_rows, 32))
+        want = start.copy()
+        np.add.at(want, rows, values)
+        got = start.copy()
+        _add_rows_at(got, rows, values)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestForward:
@@ -263,7 +398,7 @@ class TestFrozenEmbedding:
         )
         sel = np.arange(n_frames) if idx is None else idx
         got_loss, got = _cross_entropy(
-            params, (None, emb[sel], ctx[sel]), labels[sel], sel, 0.4
+            params, (None, emb[sel], ctx[sel]), labels[sel], 0.4
         )
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
         assert got[:2] == want[:2] == [None, None]

@@ -365,6 +365,40 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_commands_load_no_numpy_ma(workspace):
+    # np.unique and np.median import numpy.ma on first use, tens of ms in
+    # every fresh process; no command the README runs may call them
+    out = workspace / "no_ma"
+    seg = f"{workspace}/seg/segmentation.ckpt"
+    commands = [
+        ["segment", "--corpus", f"{workspace}/corpus", "--out", f"{out}/seg", "--k", "3",
+         "--iterations", "2", "--select", "1:2", "--sweeps", "2", "--epochs", "1",
+         "--hidden", "4", "--tc-epochs", "1", "--seed", "0"],
+        *(["train-rsd", "--corpus", f"{workspace}/corpus", "--out", f"{out}/rsd",
+           "--epochs", "1", "--hidden", "4", "--seed", "0", *extra]
+          for extra in (["--pipeline", "single"],
+                        ["--pipeline", "feature", "--aux", "seg", "--checkpoint", seg],
+                        ["--pipeline", "regularize", "--aux", "seg", "--loss", "corr",
+                         "--checkpoint", seg])),
+        ["evaluate", "--corpus", f"{workspace}/corpus", "--out", f"{out}/eval",
+         "--models", f"{out}/rsd/rsd_single_none_smoothl1.ckpt", seg],
+    ]
+    code = (
+        "import sys; from segrsd.cli import main\n"
+        "loaded = []\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('numpy.ma' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(segrsd.__file__).parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([False] * len(commands))
+
+
 def test_no_global_statements():
     # no module-global mutable state: nothing in the package rebinds a global
     found = [

@@ -89,6 +89,23 @@ class TestLabelMatchAccuracy:
             label_match_accuracy(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
             label_match_accuracy(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            label_match_accuracy(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError):
+            label_match_accuracy(np.array([0, 1]), np.array([0, -1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unique_reference(self, seed):
+        # the per-label np.unique loop it replaces, on sparse label values
+        rng = np.random.default_rng(seed)
+        pred = rng.choice([0, 3, 4, 9], size=200)
+        ref = rng.choice([1, 2, 7], size=200)
+        want, correct = {}, 0
+        for p in np.unique(pred):
+            refs, counts = np.unique(ref[pred == p], return_counts=True)
+            want[int(p)] = int(refs[np.argmax(counts)])
+            correct += int(counts.max())
+        assert label_match_accuracy(pred, ref) == (want, correct / 200)
 
 
 class TestCorpusLabelAccuracy:

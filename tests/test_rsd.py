@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from segrsd import optim, rsd
+from segrsd import appearance, optim, rsd
 from segrsd.appearance import TrainConfig, _frozen_trunks, init_dense
 from segrsd.core import Corpus, VideoSequence
 from segrsd.errors import DataFormatError
@@ -162,6 +162,15 @@ class TestCorridor:
         corr = CorridorParams.from_corpus(tiny_corpus)
         durs = [v.duration_min for v in tiny_corpus.by_split("train")]
         assert corr.t_median == pytest.approx(np.median(durs))
+
+    @pytest.mark.parametrize("n_train", [1, 2, 5, 6])
+    def test_from_corpus_median_equals_np_median(self, n_train):
+        # odd and even counts, lengths in no particular order
+        lengths = np.random.default_rng(n_train).integers(5, 90, size=n_train)
+        videos = [make_video(f"v{i}", n_frames=int(n), period=7.0) for i, n in enumerate(lengths)]
+        corpus = Corpus(videos, {v.id: "train" for v in videos})
+        durs = [v.duration_min for v in videos]
+        assert CorridorParams.from_corpus(corpus).t_median == float(np.median(durs))
 
 
 class TestPipelineMode:
@@ -464,6 +473,34 @@ class TestSelectedRows:
                 params.layer_list(),
             )
             assert grad_rel_error(grads, num) < 1e-6, (aux_kind, target_kind)
+
+    def test_segment_form_gradcheck(self):
+        # 1800 frames, rows in the first half: the context takes its segment
+        # form and row scan, where 181 frames take the dense form
+        idx = frame_subset(1800, "early")
+        assert not isinstance(appearance._row_plan(idx, 0.9)[1], np.ndarray)
+        params, video, aux_target = self._setup(1800, "classes", "duration", 3)
+        _, grads = self._call(params, video, "smoothl1", aux_target, "duration", idx)
+        num = finite_difference_grads(
+            lambda: self._call(params, video, "smoothl1", aux_target, "duration", idx)[0],
+            params.layer_list(),
+        )
+        assert grad_rel_error(grads, num) < 1e-6
+
+    def test_trainable_batch_scans_no_prefix(self, monkeypatch):
+        # the loss computes its context at the rows alone: no whole-prefix
+        # _decay_scan, which a whole-video prediction still makes
+        scans = []
+        scan = appearance._decay_scan
+        monkeypatch.setattr(
+            appearance, "_decay_scan", lambda y, lam: scans.append(len(y)) or scan(y, lam)
+        )
+        params, video, aux_target = self._setup(181, "classes", "duration")
+        for subset in ("single", "early", "all"):
+            self._call(params, video, "corr", aux_target, "duration", frame_subset(181, subset))
+        assert scans == []
+        predict_video(params, video)
+        assert scans == [181]
 
 
 class TestFrozenEmbedding:
