@@ -145,26 +145,27 @@ def context_accumulate(features, lam: float) -> np.ndarray:
 
 
 # _row_plan's dense form is used while its weight matrix has at most this many
-# entries (128 KB, glibc's default mmap threshold): on short prefixes two matrix
-# products cost less than the row scan's many small steps
-_DENSE_ROW_WEIGHTS = 16384
+# entries. Plan, context and adjoint of the two forms cost the same at 24k-33k
+# entries for 16-128 rows (h = 32); below that the dense form's two matrix
+# products beat the segment form's many small steps, 1.7-4x at 180 frames.
+_DENSE_ROW_WEIGHTS = 24576
 
 
 def _row_plan(rows, lam: float):
     """Bookkeeping of the context at sorted distinct rows i_1 < ... < i_K.
 
-    With a_0 = 1 and a_s = 1 - lam otherwise, context_accumulate gives
-    ctx_t = sum_{s<=t} a_s lam**(t-s) e_s, a linear map of frames 0..i_K.
-    Returns (rows, form). On a short prefix form is that map's K x (i_K + 1)
-    matrix. Otherwise it is (lengths, weights, steps): split frames 0..i_K
-    into the segments (i_{k-1}, i_k] and let S_k = sum over segment k of
-    a_s lam**(i_k-s) e_s; then ctx[i_k] = sum_{j<=k} lam**(i_k-i_j) S_j, a scan
-    over the K rows only. lengths are the segments' frame counts, weights the
-    a_s lam**(i_k-s) of every frame, and steps the (shift m, factors
-    lam**(i_k - i_{k-m})) of a log-step scan over the rows, which stops as
-    _decay_scan does. Every power comes from one call, and those below eps**2
-    are flushed to 0 as in _decay_scan. Built once per video and batch, the
-    plan serves _row_context and its adjoint.
+    context_accumulate gives ctx_t = (1-lam) sum_{s<=t} lam**(t-s) e_s
+    + lam**(t+1) e_0. Split frames 0..i_K into the segments (i_{k-1}, i_k] and
+    let S_k = sum over segment k of lam**(i_k-s) e_s; then C_k =
+    sum_{j<=k} lam**(i_k-i_j) S_j is a scan over the K rows only, and
+    ctx[i_k] = (1-lam) C_k + lam**(i_k+1) e_0. Returns (rows, form). On a
+    short prefix form is the K x (i_K + 1) matrix of this linear map.
+    Otherwise it is (lengths, weights, lam, head, steps): the segments' frame
+    counts, the lam**(i_k-s) of every frame, lam, the (K, 1) lam**(i_k+1),
+    and the (shift m, factors lam**(i_k - i_{k-m})) of a log-step scan over
+    the rows, which stops as _decay_scan does. Every power comes from one
+    call, and those below eps**2 are flushed to 0 as in _decay_scan. Built
+    once per video and batch, the plan serves _row_context and its adjoint.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or not len(rows):
@@ -190,34 +191,37 @@ def _row_plan(rows, lam: float):
         m *= 2
     span = int(lengths.max())
     powers = np.power(
-        lam, np.concatenate([np.arange(span), *(rows[m:] - rows[:-m] for m in shifts)]),
+        lam,
+        np.concatenate([np.arange(span), rows + 1, *(rows[m:] - rows[:-m] for m in shifts)]),
         dtype=np.float64,
     )
     powers[powers < tiny] = 0.0
     # frame s of segment k sits i_k - s frames before its row
     weights = powers[np.repeat(rows, lengths) - np.arange(n)]
-    weights[1:] *= 1.0 - lam
-    steps, at = [], span
+    head = powers[span:span + len(rows), None]
+    steps, at = [], span + len(rows)
     for m in shifts:
         steps.append((m, powers[at:at + len(rows) - m, None]))
         at += len(rows) - m
-    return rows, (lengths, weights, steps)
+    return rows, (lengths, weights, lam, head, steps)
 
 
 def _row_context(plan, e: np.ndarray) -> np.ndarray:
     """context_accumulate(e, lam)[rows] for e over frames 0..i_K; (K, dims).
 
-    The dense form is one matrix product. The segment form takes one
-    weighted reduceat over the prefix for the segment sums and a log-step
-    scan (Hillis & Steele 1986) over the K rows only.
+    The dense form is one matrix product. In the segment form one weighted
+    reduceat over the prefix gives the segment sums, and a log-step scan
+    (Hillis & Steele 1986) over the K rows combines them.
     """
     rows, form = plan
     if isinstance(form, np.ndarray):
         return form @ e
-    lengths, weights, steps = form
+    lengths, weights, lam, head, steps = form
     c = np.add.reduceat(weights[:, None] * e, rows - lengths + 1, axis=0)
     for m, f in steps:
         c[m:] += f * c[:-m]
+    c *= 1.0 - lam
+    c += head * e[0]
     return c
 
 
@@ -227,12 +231,13 @@ def _row_context_adjoint(plan, grad_ctx: np.ndarray) -> np.ndarray:
     _, form = plan
     if isinstance(form, np.ndarray):
         return form.T @ grad_ctx
-    lengths, weights, steps = form
-    g = np.array(grad_ctx, dtype=np.float64)
+    lengths, weights, lam, head, steps = form
+    g = (1.0 - lam) * grad_ctx
     for m, f in reversed(steps):
         g[:-m] += f * g[m:]
     out = np.repeat(g, lengths, axis=0)
     out *= weights[:, None]
+    out[0] += head[:, 0] @ grad_ctx
     return out
 
 
@@ -483,6 +488,9 @@ def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     It makes the same additions in the same order, on the flat array at
     indices row * width + column, which np.add.at handles several times faster.
     """
+    if not out.flags.c_contiguous:
+        # reshape would add into a copy and drop every addition
+        raise ValueError("out must be C-contiguous")
     width = out.shape[1]
     flat_idx = (rows[:, None] * width + np.arange(width)).reshape(-1)
     np.add.at(out.reshape(-1), flat_idx, values.reshape(-1))

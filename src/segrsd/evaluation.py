@@ -25,33 +25,45 @@ def mae_minutes(
     return float(np.mean(errs))
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Indices where each run of equal values begins in a sorted 1-d array."""
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return np.flatnonzero(new)
+
+
 def label_match_accuracy(predicted: np.ndarray, reference: np.ndarray):
     """Accuracy under the best many-to-one mapping of predicted onto reference.
 
-    Labels are non-negative integers. Each predicted label is mapped to the
-    reference label it co-occurs with most often (ties to the smaller
-    reference label). Returns (mapping, accuracy). This is the usual protocol
-    for comparing an unsupervised labelling against ground truth when
-    cluster identities are arbitrary.
+    Each predicted label is mapped to the reference label it co-occurs with
+    most often (ties to the smaller reference label). Returns (mapping,
+    accuracy). This is the usual protocol for comparing an unsupervised
+    labelling against ground truth when cluster identities are arbitrary.
     """
     predicted = np.asarray(predicted)
     reference = np.asarray(reference)
     if predicted.shape != reference.shape or predicted.ndim != 1 or not predicted.size:
         raise ValueError("label arrays must be 1-d, non-empty and equally long")
-    if predicted.min() < 0 or reference.min() < 0:
-        raise ValueError("labels must be non-negative")
-    # co-occurrence counts: table[p, r] = frames labelled p here and r there
-    n_ref = int(reference.max()) + 1
-    n_pred = int(predicted.max()) + 1
-    table = np.bincount(predicted * n_ref + reference, minlength=n_pred * n_ref)
-    table = table.reshape(n_pred, n_ref)
-    mapping = {}
-    correct = 0
-    for p in np.flatnonzero(table.sum(axis=1)):
-        best = int(np.argmax(table[p]))
-        mapping[int(p)] = best
-        correct += int(table[p, best])
-    return mapping, correct / len(predicted)
+    # sorted distinct labels and dense codes by sorting (np.unique would
+    # import numpy.ma); memory stays linear in the frames whatever the values
+    values = []
+    for labels in (predicted, reference):
+        ordered = np.sort(labels)
+        values.append(ordered[_run_starts(ordered)])
+    pred_values, ref_values = values
+    n_ref = len(ref_values)
+    pairs = np.sort(
+        np.searchsorted(pred_values, predicted) * n_ref + np.searchsorted(ref_values, reference)
+    )
+    starts = _run_starts(pairs)
+    counts = np.diff(starts, append=len(pairs))
+    p, r = np.divmod(pairs[starts], n_ref)
+    # per predicted label the largest count first; the stable sort keeps
+    # equal counts in ascending reference order
+    order = np.lexsort((-counts, p))
+    best = order[_run_starts(p[order])]
+    mapping = {int(pred_values[p[i]]): int(ref_values[r[i]]) for i in best}
+    return mapping, int(counts[best].sum()) / len(predicted)
 
 
 def corpus_label_accuracy(

@@ -110,7 +110,7 @@ ROW_CASES = [
     (60, 0.0, [0, 7, 8, 31]),
     (3001, 0.9, [0, 1500, 3000]),
     (181, 0.99, "early"),
-    (3001, 0.9, [2, 700, 701, 1500, 2200, 2999, 3000]),
+    (4001, 0.9, [2, 700, 701, 1500, 2200, 2999, 3000, 3500, 4000]),
     (200, 0.9, list(range(200))),
     (3000, 0.0, "sparse"),
     (1800, 0.9, "sparse"),
@@ -158,13 +158,13 @@ class TestRowContext:
         dense = [isinstance(_row_plan(_row_case(*c)[2], c[1])[1], np.ndarray) for c in ROW_CASES]
         assert dense == [True] * 6 + [False] * 6
 
-    @pytest.mark.parametrize("n_rows", [64, 65])
+    @pytest.mark.parametrize("n_rows", [96, 97])
     def test_dense_form_up_to_its_size_limit(self, n_rows):
-        # 64 rows of a 256-frame prefix fill the dense form's 16384 entries
+        # 96 rows of a 256-frame prefix fill the dense form's 24576 entries
         e, lam, _ = _row_case(256, 0.9, [0])
         rows = np.linspace(0, 255, n_rows).astype(np.int64)
         plan = _row_plan(rows, lam)
-        assert isinstance(plan[1], np.ndarray) == (n_rows == 64)
+        assert isinstance(plan[1], np.ndarray) == (n_rows == 96)
         want = context_accumulate(e, lam)[rows]
         assert np.abs(_row_context(plan, e) - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -178,7 +178,8 @@ class TestRowContext:
         if isinstance(form, np.ndarray):
             parts = [form]
         else:
-            parts = [form[1], *(f for _, f in form[2])]
+            _, weights, _, head, steps = form
+            parts = [weights, head, *(f for _, f in steps)]
         for arr in (ctx, adj, *parts):
             assert np.isfinite(arr).all()
             tiny = np.abs(arr)[arr != 0.0]
@@ -223,6 +224,11 @@ class TestAddRowsAt:
         got = start.copy()
         _add_rows_at(got, rows, values)
         np.testing.assert_array_equal(got, want)
+
+    def test_rejects_non_contiguous_out(self):
+        out = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError):
+            _add_rows_at(out, np.array([0, 1]), np.ones((2, 3)))
 
 
 class TestForward:

@@ -91,15 +91,21 @@ class TestLabelMatchAccuracy:
             label_match_accuracy(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             label_match_accuracy(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-        with pytest.raises(ValueError):
-            label_match_accuracy(np.array([0, 1]), np.array([0, -1]))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_unique_reference(self, seed):
-        # the per-label np.unique loop it replaces, on sparse label values
+    # sparse values, negative and huge ones (a table indexed by value would
+    # need exabytes or overflow int64), floats, and many distinct labels
+    @pytest.mark.parametrize("pred_values, ref_values", [
+        ([0, 3, 4, 9], [1, 2, 7]),
+        ([-5, 0, 2], [-1, 10**8, 2**62]),
+        ([0.0, 1.5, 2.0], [3.0, -1.0]),
+        (list(range(150)), list(range(0, 300, 2))),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_unique_reference(self, pred_values, ref_values, seed):
+        # the per-label np.unique loop it replaces
         rng = np.random.default_rng(seed)
-        pred = rng.choice([0, 3, 4, 9], size=200)
-        ref = rng.choice([1, 2, 7], size=200)
+        pred = rng.choice(pred_values, size=200)
+        ref = rng.choice(ref_values, size=200)
         want, correct = {}, 0
         for p in np.unique(pred):
             refs, counts = np.unique(ref[pred == p], return_counts=True)
