@@ -148,6 +148,8 @@ def context_accumulate(features, lam: float) -> np.ndarray:
 # entries. Plan, context and adjoint of the two forms cost the same at 24k-33k
 # entries for 16-128 rows (h = 32); below that the dense form's two matrix
 # products beat the segment form's many small steps, 1.7-4x at 180 frames.
+# End to end the fork pays: with the segment form alone (a threshold of 0),
+# perfbench many-stages segment_s, train_rsd_s and wall_s grew 28/23/26 %.
 _DENSE_ROW_WEIGHTS = 24576
 
 
@@ -281,16 +283,19 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows=Non
     return (acts, plan), acts[-1][rows], _row_context(plan, acts[-1])
 
 
-def _frozen_trunks(layers, mask, lam, videos):
-    """Per video, (emb, ctx) over every frame when no embedding layer trains.
-
-    A frozen embedding gives the same emb and ctx in every batch and epoch,
-    so a training call computes them once here and reads its batch rows from
-    them. Returns None when some layer trains.
-    """
+def _trunk_source(layers, mask, lam, videos):
+    """trunk(vi, rows=None): _trunk's (back, emb, ctx) of videos[vi] under the
+    live layers. With no embedding layer training, each video's whole-video
+    [emb, ctx] is computed once here and read at rows, with back None."""
     if any(mask):
-        return None
-    return [_trunk(layers, lam, video.features)[1:] for video in videos]
+        return lambda vi, rows=None: _trunk(layers, lam, videos[vi].features, rows)
+    whole = [_trunk(layers, lam, video.features)[1:] for video in videos]
+
+    def trunk(vi, rows=None):
+        emb, ctx = whole[vi]
+        return (None, emb, ctx) if rows is None else (None, emb[rows], ctx[rows])
+
+    return trunk
 
 
 def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray):
@@ -444,17 +449,12 @@ def train_appearance(
         return out
 
     labs = [np.asarray(labels[v.id], dtype=np.int64) for v in videos]
-    frozen = _frozen_trunks(
+    trunk = _trunk_source(
         out.layers[:-1], out.trainable_mask[:-1], out.context_lambda, videos
     )
 
     def video_loss(vi, idx, weight):
-        if frozen is None:
-            return cross_entropy_loss_and_grads(
-                out, videos[vi].features, labs[vi], idx, weight=weight
-            )
-        emb, ctx = frozen[vi]
-        return _cross_entropy(out, (None, emb[idx], ctx[idx]), labs[vi][idx], weight)
+        return _cross_entropy(out, trunk(vi, idx), labs[vi][idx], weight)
 
     for _ in minibatch_epochs(
         out.layers, out.trainable_mask, [v.n_frames for v in videos], config,

@@ -103,32 +103,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known structure")
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.add_argument("--videos", type=int, default=20)
-    p.add_argument("--k", type=int, default=5, help="number of true subactivities")
-    p.add_argument("--d", type=int, default=12, help="feature dimension")
-    p.add_argument("--duration-mean", type=float, default=3.0, help="minutes")
-    p.add_argument("--jitter", type=float, default=0.2)
-    p.add_argument("--sep", type=float, default=4.0, help="cluster separation")
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--skip-prob", type=float, default=0.0)
-    p.add_argument("--order-rho", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--videos", dest="n_videos", type=int)
+    p.add_argument("--k", dest="k_true", type=int, help="number of true subactivities")
+    p.add_argument("--d", dest="n_features", type=int, help="feature dimension")
+    p.add_argument("--duration-mean", dest="duration_mean_min", type=float, help="minutes")
+    p.add_argument("--jitter", dest="duration_jitter", type=float)
+    p.add_argument("--sep", dest="cluster_separation", type=float, help="cluster separation")
+    p.add_argument("--noise", dest="noise_sigma", type=float)
+    p.add_argument("--skip-prob", dest="skip_prob", type=float)
+    p.add_argument("--order-rho", dest="order_rho", type=float)
+    p.add_argument("--seed", dest="seed", type=int)
+    _default_to(p, SynthConfig)
 
     p = sub.add_parser("segment", help="alternate appearance and temporal models")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k", type=int, default=10,
+    p.add_argument("--k", dest="n_subactivities", type=int,
                    help=f"number of subactivities (at most {MAX_COHERENT_LABELS})")
-    p.add_argument("--iterations", type=_positive_int, default=8)
-    p.add_argument("--select", type=_select_window, default=(6, 8),
+    p.add_argument("--iterations", dest="iterations", type=_positive_int)
+    p.add_argument("--select", dest="selection_window", type=_select_window,
                    help="checkpoint selection window a:b")
-    p.add_argument("--sweeps", type=_non_negative_int, default=25)
-    p.add_argument("--epochs", type=_non_negative_int, default=5,
+    p.add_argument("--sweeps", dest="sweeps_per_iteration", type=_non_negative_int)
+    p.add_argument("--epochs", dest="epochs_per_iteration", type=_non_negative_int,
                    help="classifier epochs per iteration")
-    p.add_argument("--hidden", type=_positive_int, default=32)
-    p.add_argument("--tc-epochs", type=_non_negative_int, default=10,
+    p.add_argument("--hidden", dest="hidden_dim", type=_positive_int)
+    p.add_argument("--tc-epochs", dest="tc_pretrain_epochs", type=_non_negative_int,
                    help="embedding warm-up epochs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="seed", type=int)
+    _default_to(p, SegTrainConfig)
 
     p = sub.add_parser("train-rsd", help="train a remaining-duration regressor")
     p.add_argument("--corpus", required=True)
@@ -166,19 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default_to(parser, config_type) -> None:
+    """Each flag's dest is a field of config_type, and defaults to its value there."""
+    parser.set_defaults(**{f.name: f.default for f in dataclasses.fields(config_type)})
+
+
+def _config_of(args, config_type):
+    """config_type from the flags and defaults of a parser set up by _default_to."""
+    return config_type(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_type)})
+
+
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_videos=args.videos,
-        k_true=args.k,
-        n_features=args.d,
-        duration_mean_min=args.duration_mean,
-        duration_jitter=args.jitter,
-        cluster_separation=args.sep,
-        noise_sigma=args.noise,
-        skip_prob=args.skip_prob,
-        order_rho=args.order_rho,
-        seed=args.seed,
-    )
+    config = _config_of(args, SynthConfig)
     corpus, _ = synth_generate(config)
     save_corpus(corpus, args.out)
     counts = {s: len(corpus.by_split(s)) for s in ("train", "val", "test")}
@@ -191,16 +192,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_segment(args) -> int:
     corpus = load_corpus(args.corpus)
-    config = SegTrainConfig(
-        n_subactivities=args.k,
-        iterations=args.iterations,
-        epochs_per_iteration=args.epochs,
-        selection_window=args.select,
-        sweeps_per_iteration=args.sweeps,
-        hidden_dim=args.hidden,
-        tc_pretrain_epochs=args.tc_epochs,
-        seed=args.seed,
-    )
+    config = _config_of(args, SegTrainConfig)
     checkpoints = run_segmentation(corpus, config)
     if not checkpoints:
         raise NumericalError("segmentation produced no checkpoints")
@@ -305,6 +297,11 @@ def _cmd_evaluate(args) -> int:
         if _read_container(model_path)[0] == _KIND_SEG:
             ckpt = load_seg_checkpoint(model_path, expect_feature_dim=corpus.feature_dim)
             seg_lines.append(f"seg_tc={ckpt.tc_score:.6f}")
+            missing = sorted(set(ckpt.labels) - set(corpus.split))
+            if missing:
+                raise DataFormatError(f"{model_path}: labels videos the corpus lacks: {missing}")
+            if any(len(lab) != corpus.video(vid).n_frames for vid, lab in ckpt.labels.items()):
+                raise DataFormatError(f"{model_path}: label counts differ from the frame counts")
             with_phases = {
                 vid: lab for vid, lab in ckpt.labels.items()
                 if corpus.video(vid).phase_labels is not None

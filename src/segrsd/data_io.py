@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .appearance import AppearanceParams, DenseLayer
-from .core import Corpus, Segmentation, VideoSequence, derived_rng
+from .core import Corpus, Segmentation, VideoSequence, derived_rng, segmentation_to_labels
 from .errors import (
     BadMagicError,
     DataFormatError,
@@ -51,6 +52,15 @@ _KIND_RSD = 2
 
 # ---------------------------------------------------------------------------
 # feature files
+
+@contextmanager
+def _data_errors(path):
+    """Re-raise a ValueError from the validation inside as a DataFormatError naming path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
 
 def save_video(video: VideoSequence, path) -> None:
     path = Path(path)
@@ -95,29 +105,33 @@ def load_video(path, video_id: str | None = None) -> VideoSequence:
         phases = np.frombuffer(
             raw, dtype="<u2", count=t, offset=header_size + feat_bytes
         ).astype(np.int64)
-    return VideoSequence(
-        id=video_id if video_id is not None else path.stem,
-        features=feats.astype(np.float64),
-        frame_period_s=period,
-        phase_labels=phases,
-    )
+    with _data_errors(path):
+        return VideoSequence(
+            id=video_id if video_id is not None else path.stem,
+            features=feats.astype(np.float64),
+            frame_period_s=period,
+            phase_labels=phases,
+        )
 
 
 def _load_csv_video(path: Path, video_id: str) -> VideoSequence:
     """CSV fallback: one frame per row, optional final 'phase' column."""
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-    has_phase = head and head[-1].strip().lower() == "phase"
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(head):
-        raise ShapeMismatchError(f"{path}: row width does not match header")
-    if has_phase:
-        return VideoSequence(
-            id=video_id,
-            features=data[:, :-1],
-            phase_labels=data[:, -1].astype(np.int64),
-        )
-    return VideoSequence(id=video_id, features=data)
+    if not path.is_file():
+        raise MissingFileError(f"no such feature file: {path}")
+    with _data_errors(path):
+        with open(path) as fh:
+            head = fh.readline().strip().split(",")
+        has_phase = head and head[-1].strip().lower() == "phase"
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != len(head):
+            raise ShapeMismatchError(f"{path}: row width does not match header")
+        if has_phase:
+            return VideoSequence(
+                id=video_id,
+                features=data[:, :-1],
+                phase_labels=data[:, -1].astype(np.int64),
+            )
+        return VideoSequence(id=video_id, features=data)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +172,8 @@ def load_corpus(root) -> Corpus:
             video = load_video(path, vid)
         videos.append(video)
         split[vid] = split_name
-    return Corpus(videos, split)
+    with _data_errors(manifest):
+        return Corpus(videos, split)
 
 
 def split_corpus(videos: Sequence[VideoSequence], ratios=(5, 1, 2), seed: int = 0) -> Corpus:
@@ -256,7 +271,7 @@ def synth_generate(config: SynthConfig):
         present = [s for s in order if keep[s]]
         lengths = sample_lengths(lengths_model, present, n_frames, rng)
         seg = Segmentation(tuple(zip(present, (int(l) for l in lengths))), k)
-        labels = np.repeat([s for s, _ in seg.segments], [l for _, l in seg.segments])
+        labels = segmentation_to_labels(seg)
         feats = centers[labels] + config.noise_sigma * rng.standard_normal(
             (n_frames, config.n_features)
         )

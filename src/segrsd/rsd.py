@@ -34,9 +34,9 @@ from .appearance import (
     CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
-    _frozen_trunks,
     _selected_backward,
     _trunk,
+    _trunk_source,
     init_appearance,
     init_dense,
     softmax_cross_entropy,
@@ -398,19 +398,18 @@ def _resolve_aux_targets(
         if missing:
             raise DataFormatError(f"checkpoint lacks labels for videos {missing}")
         targets = {v.id: np.asarray(init.labels[v.id], dtype=np.int64) for v in videos}
-        return targets, "classes", int(max(t.max() for t in targets.values())) + 1
-    if task == "uniform":
-        targets = {v.id: uniform_labels(v, n_subactivities) for v in videos}
-        return targets, "classes", n_subactivities
-    if task == "phase":
+    elif task == "phase":
         missing = [v.id for v in videos if v.phase_labels is None]
         if missing:
             raise DataFormatError(f"phase task needs phase labels; missing for {missing}")
         targets = {v.id: v.phase_labels for v in videos}
-        return targets, "classes", int(max(t.max() for t in targets.values())) + 1
-    if task == "progress":
+    elif task == "uniform":
+        targets = {v.id: uniform_labels(v, n_subactivities) for v in videos}
+    elif task == "progress":
         return {v.id: _progress_of(v) for v in videos}, "progress", 1
-    raise ValueError(f"aux task {task!r} has no targets")
+    else:
+        raise ValueError(f"aux task {task!r} has no targets")
+    return targets, "classes", int(max(t.max() for t in targets.values())) + 1
 
 
 def mae_of(params: RsdParams, videos: Sequence[VideoSequence],
@@ -487,28 +486,20 @@ def train_rsd(
     best_mae = np.inf
     val_set = val_videos or train_videos
     val_target = _progress_of if target_kind == "progress" else VideoSequence.remaining_min
-    frozen = _frozen_trunks(
-        params.embed, params.trainable_mask[:n_embed], params.context_lambda,
-        [*train_videos, *val_videos],
+    all_videos = [*train_videos, *val_videos]
+    trunk = _trunk_source(
+        params.embed, params.trainable_mask[:n_embed], params.context_lambda, all_videos,
     )
 
     def video_loss(vi, idx, weight):
         video = train_videos[vi]
         aux_target = aux_targets[video.id] if aux_targets else None
-        if frozen is None:
-            return rsd_loss_and_grads(
-                params, video, loss_name, corridor, idx, aux_target, aux_weight,
-                weight, target_kind,
-            )
-        emb, ctx = frozen[vi]
-        return _rsd_loss(params, video, idx, (None, emb[idx], ctx[idx]), loss_name,
-                         corridor, aux_target, aux_weight, weight, target_kind)
+        return _rsd_loss(params, video, idx, trunk(vi, idx), loss_name, corridor,
+                         aux_target, aux_weight, weight, target_kind)
 
     def val_mae():
-        if frozen is None:
-            return mae_of(params, val_set, val_target)
-        trunks = frozen[len(train_videos):] if val_videos else frozen
-        preds = (_minutes(params, emb, ctx, v) for (emb, ctx), v in zip(trunks, val_set))
+        first = len(all_videos) - len(val_set)  # val_set ends all_videos
+        preds = (_minutes(params, *trunk(j)[1:], v) for j, v in enumerate(val_set, first))
         return _macro_mae(preds, val_set, val_target)
 
     epochs = minibatch_epochs(

@@ -90,14 +90,9 @@ def inversions_to_order(v) -> tuple[int, ...]:
 def order_to_inversions(order) -> np.ndarray:
     """v_i = number of items j > i placed before item i."""
     order = tuple(int(x) for x in order)
-    k = len(order)
-    if sorted(order) != list(range(k)):
+    if sorted(order) != list(range(len(order))):
         raise ValueError("order must be a permutation of 0..K-1")
-    pos = {item: p for p, item in enumerate(order)}
-    v = np.zeros(max(k - 1, 0), dtype=np.int64)
-    for item in range(k - 1):
-        v[item] = sum(1 for j in range(item + 1, k) if pos[j] < pos[item])
-    return v
+    return partial_order_inversions(order, len(order))
 
 
 def partial_order_inversions(present_order, n_subactivities: int) -> np.ndarray:

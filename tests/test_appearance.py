@@ -20,10 +20,10 @@ from segrsd.appearance import (
     train_appearance,
     _add_rows_at,
     _cross_entropy,
-    _frozen_trunks,
     _row_context,
     _row_context_adjoint,
     _row_plan,
+    _trunk_source,
 )
 from segrsd import appearance
 from segrsd.core import VideoSequence
@@ -399,13 +399,11 @@ class TestFrozenEmbedding:
         want_loss, want = cross_entropy_loss_and_grads(
             params, video.features, labels, idx, weight=0.4
         )
-        [(emb, ctx)] = _frozen_trunks(
+        trunk = _trunk_source(
             params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [video]
         )
         sel = np.arange(n_frames) if idx is None else idx
-        got_loss, got = _cross_entropy(
-            params, (None, emb[sel], ctx[sel]), labels[sel], 0.4
-        )
+        got_loss, got = _cross_entropy(params, trunk(0, sel), labels[sel], 0.4)
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
         assert got[:2] == want[:2] == [None, None]
         assert grad_rel_error(got[2:], want[2:]) <= 1e-14

@@ -1,5 +1,6 @@
 import ast
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import segrsd
-from segrsd.cli import main
-from segrsd.data_io import load_rsd_checkpoint, load_seg_checkpoint
+from segrsd.cli import _config_of, build_parser, main
+from segrsd.data_io import SynthConfig, load_rsd_checkpoint, load_seg_checkpoint
+from segrsd.segtrain import SegTrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +332,117 @@ class TestExitCodes:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def _corpus_copy(self, workspace, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        for path in (workspace / "corpus").iterdir():
+            (root / path.name).write_bytes(path.read_bytes())
+        return root
+
+    def test_data_error_non_finite_feature(self, workspace, tmp_path, capsys):
+        root = self._corpus_copy(workspace, tmp_path)
+        seq = root / "v000.seq"
+        raw = bytearray(seq.read_bytes())
+        start = 8 + struct.calcsize("<IIdB")  # magic, then the header, then frame 0
+        raw[start:start + 8] = struct.pack("<d", float("nan"))
+        seq.write_bytes(bytes(raw))
+        code = main(["segment", "--corpus", str(root), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "v000.seq" in err and "non-finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_unknown_split(self, workspace, tmp_path, capsys):
+        root = self._corpus_copy(workspace, tmp_path)
+        manifest = root / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(" train\n", " training\n", 1))
+        code = main(["segment", "--corpus", str(root), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "manifest.txt" in err and "'training'" in err
+
+    @pytest.mark.parametrize("text, needle", [
+        ("f0,f1\n1,2\n3,x\n", "could not convert"),
+        (None, "no such feature file"),
+    ])
+    def test_data_error_bad_csv_video(self, tmp_path, capsys, text, needle):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a.csv").write_text("f0,f1\n1,2\n3,4\n")
+        if text is not None:
+            (root / "b.csv").write_text(text)
+        (root / "manifest.txt").write_text("a a.csv train\nb b.csv train\n")
+        code = main(["segment", "--corpus", str(root), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "b.csv" in err and needle in err
+
+    def test_data_error_evaluate_checkpoint_of_absent_videos(self, workspace, tmp_path, capsys):
+        # the checkpoint labels a training video the corpus does not hold
+        ckpt = load_seg_checkpoint(workspace / "seg" / "segmentation.ckpt")
+        gone = sorted(ckpt.labels)[0]
+        root = self._corpus_copy(workspace, tmp_path)
+        manifest = root / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(keepends=True)
+            if not line.startswith(f"{gone} ")
+        ))
+        code = main([
+            "evaluate", "--corpus", str(root), "--out", str(tmp_path / "eval"),
+            "--models", str(workspace / "seg" / "segmentation.ckpt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(gone) in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_data_error_evaluate_checkpoint_of_other_lengths(self, workspace, tmp_path, capsys):
+        # same video ids as the workspace corpus, other frame counts
+        other = tmp_path / "corpus"
+        assert main([
+            "synth", "--out", str(other), "--videos", "8", "--k", "3", "--d", "4",
+            "--duration-mean", "0.5", "--seed", "0",
+        ]) == 0
+        code = main([
+            "evaluate", "--corpus", str(other), "--out", str(tmp_path / "eval"),
+            "--models", str(workspace / "seg" / "segmentation.ckpt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "frame counts" in err
+        assert not (tmp_path / "eval").exists()
+
+
+def test_parser_defaults_are_the_config_defaults():
+    # synth and segment take every default from their config dataclass
+    parser = build_parser()
+    args = parser.parse_args(["synth", "--out", "x"])
+    assert _config_of(args, SynthConfig) == SynthConfig()
+    args = parser.parse_args(["segment", "--corpus", "c", "--out", "o"])
+    assert _config_of(args, SegTrainConfig) == SegTrainConfig()
+
+
+def test_parser_flags_set_their_config_fields():
+    parser = build_parser()
+    args = parser.parse_args([
+        "synth", "--out", "x", "--videos", "9", "--k", "3", "--d", "7",
+        "--duration-mean", "1.5", "--jitter", "0.1", "--sep", "2.5", "--noise", "0.5",
+        "--skip-prob", "0.25", "--order-rho", "1.5", "--seed", "4",
+    ])
+    assert _config_of(args, SynthConfig) == SynthConfig(
+        n_videos=9, k_true=3, n_features=7, duration_mean_min=1.5, duration_jitter=0.1,
+        cluster_separation=2.5, noise_sigma=0.5, skip_prob=0.25, order_rho=1.5, seed=4,
+    )
+    args = parser.parse_args([
+        "segment", "--corpus", "c", "--out", "o", "--k", "4", "--iterations", "3",
+        "--select", "2:3", "--sweeps", "6", "--epochs", "2", "--hidden", "8",
+        "--tc-epochs", "1", "--seed", "5",
+    ])
+    assert _config_of(args, SegTrainConfig) == SegTrainConfig(
+        n_subactivities=4, iterations=3, epochs_per_iteration=2, selection_window=(2, 3),
+        sweeps_per_iteration=6, hidden_dim=8, tc_pretrain_epochs=1, seed=5,
+    )
 
 
 class TestBaselines:

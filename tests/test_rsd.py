@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segrsd import appearance, optim, rsd
-from segrsd.appearance import TrainConfig, _frozen_trunks, init_dense
+from segrsd.appearance import TrainConfig, _trunk_source, init_dense
 from segrsd.core import Corpus, VideoSequence
 from segrsd.errors import DataFormatError
 from segrsd.optim import minibatch_epochs
@@ -519,11 +519,11 @@ class TestFrozenEmbedding:
             want_loss, want = TestSelectedRows._call(
                 params, video, loss, aux_target, target_kind, idx
             )
-            [(emb, ctx)] = _frozen_trunks(
+            trunk = _trunk_source(
                 params.embed, params.trainable_mask[:1], params.context_lambda, [video]
             )
             got_loss, got = rsd._rsd_loss(
-                params, video, sel, (None, emb[sel], ctx[sel]), loss, CORR,
+                params, video, sel, trunk(0, sel), loss, CORR,
                 aux_target, 0.7, 0.4, target_kind,
             )
             case = (loss, aux_kind, target_kind)
@@ -613,6 +613,34 @@ class TestTrainRsd:
         np.testing.assert_array_equal(params.embed[0].bias, init.embed[0].bias)
         assert params.trainable_mask[0] is False
         assert params.context_lambda == 0.9
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_whole_video_trunk_passes(self, monkeypatch, epochs):
+        # feature_extraction embeds each train and val video once per call;
+        # single_task embeds the val video once per epoch for its MAE, and a
+        # train video only at batch rows
+        corpus = _rsd_corpus()
+        corr = CorridorParams.from_corpus(corpus)
+        train, [val] = corpus.by_split("train"), corpus.by_split("val")
+        trunk, whole = appearance._trunk, []
+
+        def counted(layers, lam, feats, rows=None):
+            if rows is None:
+                whole.append(next(v.id for v in corpus.videos if v.features is feats))
+            return trunk(layers, lam, feats, rows)
+
+        monkeypatch.setattr(appearance, "_trunk", counted)
+        init = AuxInit([init_dense(np.random.default_rng(5), 3, 6)], context_lambda=0.9)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, seed=1)
+        _, hist = train_rsd(corpus, init, PipelineMode("feature_extraction", "uniform"),
+                            "smoothl1", cfg, corr, verbose=False)
+        assert len(hist) == epochs
+        assert sorted(whole) == sorted(v.id for v in [*train, val])
+        whole.clear()
+        _, hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
+                            "smoothl1", cfg, corr, verbose=False)
+        assert len(hist) == epochs
+        assert whole == [val.id] * epochs
 
     def test_pretraining_frees_last_embed_layer_only(self):
         corpus = _rsd_corpus()
