@@ -254,11 +254,17 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray) -> list[np.ndarray]:
+def _leading(bufs, i: int, n: int):
+    """Rows :n of bufs[i]; None (numpy allocates) without bufs."""
+    return None if bufs is None else bufs[i][:n]
+
+
+def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray, out=None) -> list[np.ndarray]:
+    """Input and activations of each layer; layer i writes into out[i] if given."""
     acts = [np.asarray(feats, dtype=np.float64)]
-    for layer in layers:
+    for i, layer in enumerate(layers):
         # in place: one frames-sized array per layer, not three
-        z = acts[-1] @ layer.weights.T
+        z = np.matmul(acts[-1], layer.weights.T, out=_leading(out, i, len(feats)))
         z += layer.bias
         acts.append(np.tanh(z, out=z))
     return acts
@@ -310,25 +316,28 @@ def forward(params: AppearanceParams, video) -> np.ndarray:
     return softmax(_logits(params.layers[-1], emb, ctx)[1])
 
 
-def _embed_backward(layers, mask, acts, d_embedding):
+def _embed_backward(layers, mask, acts, d_embedding, dpre_out=None, down_out=None):
     """Backprop a gradient at the embedding output through the tanh stack.
 
     Frozen layers (mask False) get None. The pass stops at the first
-    trainable layer, so nothing flows on to the input features.
+    trainable layer, so nothing flows on to the input features. Given
+    dpre_out and down_out, layer i writes its pre-activation gradient into
+    dpre_out[i] and the gradient it passes down into down_out[i - 1].
     """
     grads = [None] * len(layers)
     first = next((i for i, m in enumerate(mask) if m), len(layers))
+    n = len(d_embedding)
     d = d_embedding
     for i in range(len(layers) - 1, first - 1, -1):
         a = acts[i + 1]
         # d * (1 - a*a), in place: one frames-sized array, not three
-        dpre = a * a
+        dpre = np.multiply(a, a, out=_leading(dpre_out, i, n))
         np.subtract(1.0, dpre, out=dpre)
         dpre *= d
         if mask[i]:
             grads[i] = [dpre.T @ acts[i], dpre.sum(axis=0)]
         if i > first:
-            d = dpre @ layers[i].weights
+            d = np.matmul(dpre, layers[i].weights, out=_leading(down_out, i - 1, n))
     return grads
 
 
@@ -482,18 +491,83 @@ def sample_distant_pairs(n_frames: int, n_pairs: int, gap: int, rng) -> np.ndarr
     return np.stack([t, u], axis=1)
 
 
-def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray, flat_idx=None) -> None:
     """np.add.at(out, rows, values) for a C-contiguous 2-d out, rows repeating.
 
     It makes the same additions in the same order, on the flat array at
-    indices row * width + column, which np.add.at handles several times faster.
+    indices row * width + column, which np.add.at handles several times
+    faster. Those indices go into flat_idx, (len(rows), width) int64, if given.
     """
     if not out.flags.c_contiguous:
         # reshape would add into a copy and drop every addition
         raise ValueError("out must be C-contiguous")
     width = out.shape[1]
-    flat_idx = (rows[:, None] * width + np.arange(width)).reshape(-1)
-    np.add.at(out.reshape(-1), flat_idx, values.reshape(-1))
+    flat_idx = np.add(rows[:, None] * width, np.arange(width), out=flat_idx)
+    np.add.at(out.reshape(-1), flat_idx.reshape(-1), values.reshape(-1))
+
+
+class _TcBuffers:
+    """The frames-sized arrays of _tc_step, for up to n_rows frames and as many
+    pairs. A step writes into their leading rows, so one set serves videos of
+    any length up to n_rows without a fresh allocation (and its page faults)
+    per step."""
+
+    def __init__(self, embed: Sequence[DenseLayer], n_rows: int):
+        widths = [layer.out_dim for layer in embed]
+        h = widths[-1]
+        self.acts = [np.empty((n_rows, w)) for w in widths]
+        self.dpre = [np.empty((n_rows, w)) for w in widths]
+        self.down = [np.empty((n_rows, w)) for w in widths[:-1]]
+        self.d_emb = np.empty((n_rows, h))
+        # a difference (slowness, steadiness, pair) and the squares or second
+        # operand that go with it
+        self.diff = np.empty((n_rows, h))
+        self.aux = np.empty((n_rows, h))
+        self.flat_idx = np.empty((n_rows, h), dtype=np.int64)
+
+
+def _tc_step(embed, mask, feats, pairs, margin: float, bufs: _TcBuffers):
+    """temporal_coherence_loss_and_grads of embed on feats and int64 (P, 2)
+    pairs, computed in bufs (at least max(len(feats), P) rows)."""
+    acts = _embed_chain(embed, feats, bufs.acts)
+    e = acts[-1]
+    n = len(e)
+    d_emb = bufs.d_emb[:n]
+    d_emb.fill(0.0)
+    loss = 0.0
+    if n >= 2:
+        d1 = np.subtract(e[1:], e[:-1], out=bufs.diff[:n - 1])
+        loss += float(np.multiply(d1, d1, out=bufs.aux[:n - 1]).sum()) / (n - 1)
+        g = np.multiply(2.0 / (n - 1), d1, out=d1)
+        d_emb[1:] += g
+        d_emb[:-1] -= g
+    if n >= 3:
+        # e[2:] - 2 e[1:-1] + e[:-2], left to right
+        d2 = np.multiply(2.0, e[1:-1], out=bufs.diff[:n - 2])
+        np.subtract(e[2:], d2, out=d2)
+        d2 += e[:-2]
+        loss += float(np.multiply(d2, d2, out=bufs.aux[:n - 2]).sum()) / (n - 2)
+        g = np.multiply(2.0 / (n - 2), d2, out=d2)
+        d_emb[2:] += g
+        d_emb[1:-1] -= np.multiply(2.0, g, out=bufs.aux[:n - 2])
+        d_emb[:-2] += g
+    p = len(pairs)
+    if p:
+        ti, ui = pairs[:, 0], pairs[:, 1]
+        # mode="wrap" gathers straight into the buffer ("raise" copies out);
+        # it reads negative rows as e[ti] does, and a row outside the video
+        # still raises IndexError in _add_rows_at
+        diff = e.take(ti, axis=0, out=bufs.diff[:p], mode="wrap")
+        diff -= e.take(ui, axis=0, out=bufs.aux[:p], mode="wrap")
+        # epsilon keeps the gradient defined when two embeddings coincide
+        dist = np.sqrt(np.multiply(diff, diff, out=bufs.aux[:p]).sum(axis=1) + 1e-12)
+        viol = np.maximum(0.0, margin - dist)
+        loss += float((viol * viol).sum()) / p
+        coef = np.where(viol > 0, -2.0 * viol / dist, 0.0) / p
+        gp = np.multiply(coef[:, None], diff, out=diff)
+        _add_rows_at(d_emb, ti, gp, bufs.flat_idx[:p])
+        _add_rows_at(d_emb, ui, np.negative(gp, out=bufs.aux[:p]), bufs.flat_idx[:p])
+    return loss, _embed_backward(embed, mask, acts, d_emb, bufs.dpre, bufs.down)
 
 
 def temporal_coherence_loss_and_grads(
@@ -512,37 +586,9 @@ def temporal_coherence_loss_and_grads(
     frozen layers get none).
     """
     embed = params.layers[:-1]
-    acts = _embed_chain(embed, feats)
-    e = acts[-1]
-    n = len(e)
-    d_emb = np.zeros(e.shape)
-    loss = 0.0
-    if n >= 2:
-        d1 = e[1:] - e[:-1]
-        loss += float((d1 * d1).sum()) / (n - 1)
-        g = (2.0 / (n - 1)) * d1
-        d_emb[1:] += g
-        d_emb[:-1] -= g
-    if n >= 3:
-        d2 = e[2:] - 2.0 * e[1:-1] + e[:-2]
-        loss += float((d2 * d2).sum()) / (n - 2)
-        g = (2.0 / (n - 2)) * d2
-        d_emb[2:] += g
-        d_emb[1:-1] -= 2.0 * g
-        d_emb[:-2] += g
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs):
-        ti, ui = pairs[:, 0], pairs[:, 1]
-        diff = e[ti] - e[ui]
-        # epsilon keeps the gradient defined when two embeddings coincide
-        dist = np.sqrt((diff * diff).sum(axis=1) + 1e-12)
-        viol = np.maximum(0.0, margin - dist)
-        loss += float((viol * viol).sum()) / len(pairs)
-        coef = np.where(viol > 0, -2.0 * viol / dist, 0.0) / len(pairs)
-        gp = coef[:, None] * diff
-        _add_rows_at(d_emb, ti, gp)
-        _add_rows_at(d_emb, ui, -gp)
-    return loss, _embed_backward(embed, params.trainable_mask[:-1], acts, d_emb)
+    bufs = _TcBuffers(embed, max(len(feats), len(pairs)))
+    return _tc_step(embed, params.trainable_mask[:-1], feats, pairs, margin, bufs)
 
 
 def tc_pretrain(
@@ -551,7 +597,14 @@ def tc_pretrain(
     config: TrainConfig,
     gap: int = 30,
 ) -> AppearanceParams:
-    """Pretrain the embedding so nearby frames embed smoothly and distant ones apart."""
+    """Pretrain the embedding so nearby frames embed smoothly and distant ones apart.
+
+    Each epoch visits the videos in a random order and takes one optimizer
+    step on each: the temporal-coherence loss with margin 1 on n_frames
+    pairs more than gap frames apart, plus L2. Every step computes in one
+    set of buffers sized for the longest video, allocated once per call and
+    freed on return.
+    """
     out = params.copy()
     embed_mask = out.trainable_mask[:-1]
     if config.epochs <= 0 or not any(embed_mask):
@@ -559,11 +612,12 @@ def tc_pretrain(
     rng = np.random.default_rng(config.seed)
     opt = make_optimizer(config)
     embed = out.layers[:-1]
+    bufs = _TcBuffers(embed, max((video.n_frames for video in videos), default=0))
     for epoch in range(config.epochs):
         for vi in rng.permutation(len(videos)):
             video = videos[int(vi)]
             pairs = sample_distant_pairs(video.n_frames, video.n_frames, gap, rng)
-            loss, grads = temporal_coherence_loss_and_grads(out, video.features, pairs)
+            loss, grads = _tc_step(embed, embed_mask, video.features, pairs, 1.0, bufs)
             loss = add_l2(embed, grads, loss, config.l2_weight)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite coherence loss at epoch {epoch}")

@@ -297,11 +297,7 @@ def _cmd_evaluate(args) -> int:
         if _read_container(model_path)[0] == _KIND_SEG:
             ckpt = load_seg_checkpoint(model_path, expect_feature_dim=corpus.feature_dim)
             seg_lines.append(f"seg_tc={ckpt.tc_score:.6f}")
-            missing = sorted(set(ckpt.labels) - set(corpus.split))
-            if missing:
-                raise DataFormatError(f"{model_path}: labels videos the corpus lacks: {missing}")
-            if any(len(lab) != corpus.video(vid).n_frames for vid, lab in ckpt.labels.items()):
-                raise DataFormatError(f"{model_path}: label counts differ from the frame counts")
+            corpus.check_labels(ckpt.labels, model_path)
             with_phases = {
                 vid: lab for vid, lab in ckpt.labels.items()
                 if corpus.video(vid).phase_labels is not None

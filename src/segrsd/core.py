@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataFormatError
+
 SPLITS = ("train", "val", "test")
 
 
@@ -160,3 +162,18 @@ class Corpus:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return [v for v in self.videos if self.split[v.id] == name]
+
+    def check_labels(self, labels: dict[str, np.ndarray], source: str) -> None:
+        """Raise DataFormatError unless every video that labels (video id ->
+        per-frame labels) covers is in the corpus, with one label per frame.
+        The message starts with source, the labels' origin."""
+        missing = sorted(set(labels) - set(self.split))
+        if missing:
+            raise DataFormatError(f"{source}: labels videos the corpus lacks: {missing}")
+        for vid, lab in labels.items():
+            n = self._by_id[vid].n_frames
+            if len(lab) != n:
+                raise DataFormatError(
+                    f"{source}: label counts differ from the frame counts: "
+                    f"{len(lab)} labels for video {vid!r} of {n} frames"
+                )

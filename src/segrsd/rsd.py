@@ -394,6 +394,7 @@ def _resolve_aux_targets(
     if task == "learned_seg":
         if init is None or init.labels is None:
             raise DataFormatError("learned_seg regularization needs checkpoint labels")
+        corpus.check_labels(init.labels, "checkpoint")
         missing = [v.id for v in videos if v.id not in init.labels]
         if missing:
             raise DataFormatError(f"checkpoint lacks labels for videos {missing}")

@@ -20,6 +20,8 @@ from segrsd.appearance import (
     train_appearance,
     _add_rows_at,
     _cross_entropy,
+    _tc_step,
+    _TcBuffers,
     _row_context,
     _row_context_adjoint,
     _row_plan,
@@ -224,6 +226,12 @@ class TestAddRowsAt:
         got = start.copy()
         _add_rows_at(got, rows, values)
         np.testing.assert_array_equal(got, want)
+        # the same with the flat indices written into rows of a larger buffer
+        got = start.copy()
+        flat_idx = np.full((n_rows + 5, 32), -1, dtype=np.int64)
+        _add_rows_at(got, rows, values, flat_idx[:n_rows])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(flat_idx[:n_rows], rows[:, None] * 32 + np.arange(32))
 
     def test_rejects_non_contiguous_out(self):
         out = np.zeros((4, 6))[:, ::2]
@@ -481,6 +489,117 @@ class TestCoherenceLoss:
             assert grad_rel_error(grads, fd) < 1e-4
 
 
+def _reference_tc(params, feats, pairs, margin=1.0):
+    """temporal_coherence_loss_and_grads as it was written before the kernel
+    took its buffers from the caller: every array allocated afresh."""
+    embed = params.layers[:-1]
+    acts = [np.asarray(feats, dtype=np.float64)]
+    for layer in embed:
+        z = acts[-1] @ layer.weights.T
+        z += layer.bias
+        acts.append(np.tanh(z, out=z))
+    e = acts[-1]
+    n = len(e)
+    d_emb = np.zeros(e.shape)
+    loss = 0.0
+    if n >= 2:
+        d1 = e[1:] - e[:-1]
+        loss += float((d1 * d1).sum()) / (n - 1)
+        g = (2.0 / (n - 1)) * d1
+        d_emb[1:] += g
+        d_emb[:-1] -= g
+    if n >= 3:
+        d2 = e[2:] - 2.0 * e[1:-1] + e[:-2]
+        loss += float((d2 * d2).sum()) / (n - 2)
+        g = (2.0 / (n - 2)) * d2
+        d_emb[2:] += g
+        d_emb[1:-1] -= 2.0 * g
+        d_emb[:-2] += g
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(pairs):
+        ti, ui = pairs[:, 0], pairs[:, 1]
+        diff = e[ti] - e[ui]
+        dist = np.sqrt((diff * diff).sum(axis=1) + 1e-12)
+        viol = np.maximum(0.0, margin - dist)
+        loss += float((viol * viol).sum()) / len(pairs)
+        coef = np.where(viol > 0, -2.0 * viol / dist, 0.0) / len(pairs)
+        gp = coef[:, None] * diff
+        np.add.at(d_emb, ti, gp)
+        np.add.at(d_emb, ui, -gp)
+    mask = params.trainable_mask[:-1]
+    grads = [None] * len(embed)
+    first = next((i for i, m in enumerate(mask) if m), len(embed))
+    d = d_emb
+    for i in range(len(embed) - 1, first - 1, -1):
+        a = acts[i + 1]
+        dpre = a * a
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= d
+        if mask[i]:
+            grads[i] = [dpre.T @ acts[i], dpre.sum(axis=0)]
+        if i > first:
+            d = dpre @ embed[i].weights
+    return loss, grads
+
+
+def _assert_grads_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g[0], w[0])
+            np.testing.assert_array_equal(g[1], w[1])
+
+
+class TestCoherenceKernel:
+    """The buffered TC step against the allocate-everything reference: equal
+    to the last bit, so pretraining and every checkpoint stay the same."""
+
+    @staticmethod
+    def _case(n_frames, with_pairs, hidden):
+        rng = np.random.default_rng(n_frames)
+        params = init_appearance(rng, 12, hidden, 5)
+        feats = 0.3 * rng.standard_normal((n_frames, 12))
+        # random pairs, more of them than frames, rows repeating and some t == u
+        n_pairs = n_frames + 3 if with_pairs else 0
+        pairs = rng.integers(n_frames, size=(n_pairs, 2))
+        return params, feats, pairs
+
+    @pytest.mark.parametrize("hidden", [[32], [16, 32]])
+    @pytest.mark.parametrize("with_pairs", [False, True])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 31, 180, 1800])
+    def test_equals_reference(self, n_frames, with_pairs, hidden):
+        params, feats, pairs = self._case(n_frames, with_pairs, hidden)
+        want_loss, want = _reference_tc(params, feats, pairs)
+        loss, grads = temporal_coherence_loss_and_grads(params, feats, pairs)
+        assert loss == want_loss
+        _assert_grads_equal(grads, want)
+        # the same video on buffers larger than it, right after a longer
+        # video has filled them: no stale row may leak into the result
+        embed, mask = params.layers[:-1], params.trainable_mask[:-1]
+        bufs = _TcBuffers(embed, 2000)
+        long_feats = np.random.default_rng(0).standard_normal((1900, 12))
+        long_pairs = sample_distant_pairs(1900, 1900, 30, np.random.default_rng(1))
+        _tc_step(embed, mask, long_feats, long_pairs, 1.0, bufs)
+        loss, grads = _tc_step(embed, mask, feats, pairs.astype(np.int64), 1.0, bufs)
+        assert loss == want_loss
+        _assert_grads_equal(grads, want)
+
+    def test_partly_frozen_stack_equals_reference(self):
+        params, feats, pairs = self._case(180, True, [8, 16, 32])
+        params.trainable_mask = [False, True, False, True]
+        want_loss, want = _reference_tc(params, feats, pairs)
+        loss, grads = temporal_coherence_loss_and_grads(params, feats, pairs)
+        assert loss == want_loss
+        _assert_grads_equal(grads, want)
+
+    def test_pair_outside_video_raises(self):
+        params, feats, _ = self._case(31, False, [32])
+        with pytest.raises(IndexError):
+            temporal_coherence_loss_and_grads(params, feats, np.array([[0, 31]]))
+
+
 class TestSampleDistantPairs:
     def test_empty_when_too_short(self):
         rng = np.random.default_rng(0)
@@ -624,6 +743,30 @@ class TestTcPretrain:
         out = tc_pretrain(videos, params, TrainConfig(epochs=3, seed=0), gap=10)
         assert not np.array_equal(params.layers[0].weights, out.layers[0].weights)
         np.testing.assert_array_equal(params.layers[-1].weights, out.layers[-1].weights)
+
+    def test_equals_reference_loop_on_mixed_lengths(self):
+        # one set of buffers serves a long video between two short ones; the
+        # weights equal a loop that allocates every array afresh
+        videos = [make_video(f"v{n}", n_frames=n, n_features=6, seed=n) for n in (40, 400, 90)]
+        params = init_appearance(np.random.default_rng(3), 6, [16], 4)
+        cfg = TrainConfig(epochs=3, seed=7)
+        out = tc_pretrain(videos, params, cfg, gap=10)
+
+        want = params.copy()
+        embed, mask = want.layers[:-1], want.trainable_mask[:-1]
+        rng = np.random.default_rng(cfg.seed)
+        opt = optim.make_optimizer(cfg)
+        for _ in range(cfg.epochs):
+            for vi in rng.permutation(len(videos)):
+                video = videos[int(vi)]
+                pairs = sample_distant_pairs(video.n_frames, video.n_frames, 10, rng)
+                loss, grads = _reference_tc(want, video.features, pairs)
+                optim.add_l2(embed, grads, loss, cfg.l2_weight)
+                opt.step(embed, grads, mask)
+        for got, ref in zip(out.layers, want.layers):
+            np.testing.assert_array_equal(got.weights, ref.weights)
+            np.testing.assert_array_equal(got.bias, ref.bias)
+        assert not np.array_equal(out.layers[0].weights, params.layers[0].weights)
 
     def test_deterministic(self):
         videos = [make_video("a", n_frames=50, n_features=3)]

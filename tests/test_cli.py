@@ -413,6 +413,37 @@ class TestExitCodes:
         assert "error:" in err and "frame counts" in err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("duration", ["0.6", "0.4"])
+    def test_data_error_regularize_checkpoint_of_other_lengths(self, tmp_path, capsys, duration):
+        # the aux targets are the checkpoint's labels: videos longer or shorter
+        # than them are a data error naming the video, not an IndexError or a
+        # run on labels cut at each video's end
+        made = tmp_path / "made"
+        assert main([
+            "synth", "--out", str(made), "--videos", "8", "--k", "3", "--d", "4",
+            "--duration-mean", "0.5", "--seed", "1",
+        ]) == 0
+        assert main([
+            "segment", "--corpus", str(made), "--out", str(tmp_path / "seg"), "--k", "3",
+            "--iterations", "1", "--select", "1:1",
+        ]) == 0
+        other = tmp_path / "other"
+        assert main([
+            "synth", "--out", str(other), "--videos", "8", "--k", "3", "--d", "4",
+            "--duration-mean", duration, "--seed", "1",
+        ]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rsd"
+        code = main([
+            "train-rsd", "--corpus", str(other), "--out", str(out),
+            "--pipeline", "regularize", "--aux", "seg",
+            "--checkpoint", str(tmp_path / "seg" / "segmentation.ckpt"), "--epochs", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'v000'" in err and "frames" in err
+        assert not out.exists()
+
 
 def test_parser_defaults_are_the_config_defaults():
     # synth and segment take every default from their config dataclass
