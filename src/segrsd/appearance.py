@@ -3,9 +3,11 @@
 A stack of tanh dense layers embeds each frame; a causal exponential
 accumulator c_t = lam * c_{t-1} + (1 - lam) * e_t (c_0 = e_0) summarizes the
 past; the softmax head classifies [e_t, c_t] into subactivities. Whole-video
-passes compute the accumulator by a log-step scan over every frame
-(context_accumulate); a training batch computes it at its rows only
-(_row_context) and backpropagates through its exact adjoint. Training
+passes run in blocks of frames (_trunk_blocks): each block's accumulator is
+a log-step scan started from the previous block's last value, and the head
+runs per block, so a long video allocates no frames-sized temporaries. A
+training batch computes the accumulator at its rows only (_row_context) and
+backpropagates through its exact adjoint. Training
 supports per-layer freezing, which the alternating trainer uses to unfreeze
 one extra layer per iteration, and a temporal-coherence objective pretrains
 the embedding before the first iteration.
@@ -126,8 +128,9 @@ def _decay_scan(y: np.ndarray, lam: float) -> np.ndarray:
     """
     eps = np.finfo(np.float64).eps
     k, p = 1, lam
+    products = np.empty_like(y)  # one array for every step's product
     while k < y.shape[0] and p > eps * eps:
-        y[k:] += p * y[:-k]
+        y[k:] += np.multiply(p, y[:-k], out=products[k:])
         k, p = 2 * k, p * p
     return y
 
@@ -151,6 +154,14 @@ def context_accumulate(features, lam: float) -> np.ndarray:
 # End to end the fork pays: with the segment form alone (a threshold of 0),
 # perfbench many-stages segment_s, train_rsd_s and wall_s grew 28/23/26 %.
 _DENSE_ROW_WEIGHTS = 24576
+
+# Whole-video passes (_trunk_blocks) run in blocks of this many frames.
+# Predicting the eight 1711-1849 frame videos of perfbench long-videos (seed
+# 11, hidden width 32, one BLAS thread, 2 cores) cost 0.63 / 0.53 / 0.53 /
+# 0.77 us per frame with blocks of 128 / 256 / 512 / 1024 rows (medians of 5
+# runs); a pass took no minor page faults up to 512 rows and 2,320 at 1024,
+# against 0.96 us and 4,281 faults for one whole-array pass.
+_BLOCK_ROWS = 512
 
 
 def _row_plan(rows, lam: float):
@@ -243,10 +254,10 @@ def _row_context_adjoint(plan, grad_ctx: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, out=None) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -270,50 +281,104 @@ def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray, out=None) -> l
     return acts
 
 
-def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows=None):
-    """Embedding chain and causal context of feats; (back, emb, ctx).
+def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows):
+    """Embedding chain and causal context of feats at rows; (back, emb, ctx).
 
-    Without rows, emb and ctx cover every frame and back is None. With rows
-    (sorted distinct frame indices) the chain runs through frame max(rows)
-    only, since the context is causal, emb and ctx are taken at rows, and the
-    context is computed there alone (_row_context); back = (acts, plan) holds
-    the chain's activations, input first, and the rows' plan for
-    _selected_backward.
+    rows are sorted distinct frame indices. The chain runs through frame
+    max(rows) only, since the context is causal, emb and ctx are taken at
+    rows, and the context is computed there alone (_row_context); back =
+    (acts, plan) holds the chain's activations, input first, and the rows'
+    plan for _selected_backward. Whole videos go through _trunk_blocks.
     """
-    if rows is None:
-        emb = _embed_chain(layers, feats)[-1]
-        return None, emb, context_accumulate(emb, lam)
     plan = _row_plan(rows, lam)
     rows = plan[0]
     acts = _embed_chain(layers, feats[:rows[-1] + 1])
     return (acts, plan), acts[-1][rows], _row_context(plan, acts[-1])
 
 
+def _block_buffers(n_frames: int, widths: Sequence[int]):
+    """The buffers of a whole-video pass, one array of _BLOCK_ROWS rows per
+    width, which every block reuses; None for a video of one block, whose
+    operations allocate their outputs as one whole-array pass does (cheaper
+    than buffers at that size)."""
+    if n_frames <= _BLOCK_ROWS:
+        return None
+    return [np.empty((_BLOCK_ROWS, w)) for w in widths]
+
+
+def _trunk_blocks(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray):
+    """Embedding chain and causal context of every frame, in row blocks.
+
+    Yields (start, emb, ctx) for frames start..start + len(emb) - 1, blocks
+    of _BLOCK_ROWS frames in order. A video of several blocks computes them
+    all in one set of arrays, allocated once per call, so a block is valid
+    until the next one is asked for. The first block's context is
+    context_accumulate's; each later one continues it through the block's
+    first row, c_s = lam c_{s-1} + (1-lam) e_s, which the scan carries on. A
+    video of one block thus runs one whole-array pass's operations.
+    """
+    bufs = _block_buffers(len(feats), [layer.out_dim for layer in layers])
+    for start in range(0, len(feats), _BLOCK_ROWS):
+        emb = _embed_chain(layers, feats[start:start + _BLOCK_ROWS], bufs)[-1]
+        if start:
+            carry = lam * ctx[-1]  # the last context row of the full block before
+            c = np.multiply(1.0 - lam, emb, out=ctx[:len(emb)])
+            c[0] += carry
+            _decay_scan(c, lam)
+        else:
+            c = ctx = context_accumulate(emb, lam)
+        yield start, emb, c
+
+
 def _trunk_source(layers, mask, lam, videos):
-    """trunk(vi, rows=None): _trunk's (back, emb, ctx) of videos[vi] under the
-    live layers. With no embedding layer training, each video's whole-video
-    [emb, ctx] is computed once here and read at rows, with back None."""
+    """trunk(vi, rows=None) over videos[vi] under the live layers: with rows,
+    _trunk's (back, emb, ctx); without, _trunk_blocks' blocks. With no
+    embedding layer training, each video's whole [emb, ctx] is computed once
+    here, block by block, and read at rows or in the same blocks, with back
+    None."""
     if any(mask):
-        return lambda vi, rows=None: _trunk(layers, lam, videos[vi].features, rows)
-    whole = [_trunk(layers, lam, video.features)[1:] for video in videos]
+        def live(vi, rows=None):
+            feats = videos[vi].features
+            if rows is None:
+                return _trunk_blocks(layers, lam, feats)
+            return _trunk(layers, lam, feats, rows)
 
-    def trunk(vi, rows=None):
+        return live
+    whole = []
+    for video in videos:
+        emb, ctx = np.empty((2, video.n_frames, layers[-1].out_dim))
+        for start, e, c in _trunk_blocks(layers, lam, video.features):
+            emb[start:start + len(e)], ctx[start:start + len(e)] = e, c
+        whole.append((emb, ctx))
+
+    def cached(vi, rows=None):
         emb, ctx = whole[vi]
-        return (None, emb, ctx) if rows is None else (None, emb[rows], ctx[rows])
+        if rows is None:
+            return ((s, emb[s:s + _BLOCK_ROWS], ctx[s:s + _BLOCK_ROWS])
+                    for s in range(0, len(emb), _BLOCK_ROWS))
+        return None, emb[rows], ctx[rows]
 
-    return trunk
+    return cached
 
 
-def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray):
-    """The softmax head on [emb, ctx]; returns (phi, logits)."""
-    phi = np.hstack([emb, ctx])
-    return phi, phi @ head.weights.T + head.bias
+def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray, bufs=None):
+    """The softmax head on [emb, ctx]; returns (phi, logits), computed in
+    the leading rows of bufs = (phi, logits) if given."""
+    n = len(emb)
+    phi = np.concatenate([emb, ctx], axis=1, out=_leading(bufs, 0, n))
+    z = np.matmul(phi, head.weights.T, out=_leading(bufs, 1, n))
+    z += head.bias
+    return phi, z
 
 
 def forward(params: AppearanceParams, video) -> np.ndarray:
     """Per-frame class probabilities, shape (n_frames, n_classes)."""
-    _, emb, ctx = _trunk(params.layers[:-1], params.context_lambda, video.features)
-    return softmax(_logits(params.layers[-1], emb, ctx)[1])
+    head = params.layers[-1]
+    out = np.empty((video.n_frames, head.out_dim))
+    bufs = _block_buffers(video.n_frames, [head.in_dim, head.out_dim])
+    for start, emb, ctx in _trunk_blocks(params.layers[:-1], params.context_lambda, video.features):
+        softmax(_logits(head, emb, ctx, bufs)[1], out=out[start:start + len(emb)])
+    return out
 
 
 def _embed_backward(layers, mask, acts, d_embedding, dpre_out=None, down_out=None):

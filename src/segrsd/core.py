@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -163,10 +164,13 @@ class Corpus:
             raise ValueError(f"unknown split {name!r}")
         return [v for v in self.videos if self.split[v.id] == name]
 
-    def check_labels(self, labels: dict[str, np.ndarray], source: str) -> None:
+    def check_labels(
+        self, labels: dict[str, np.ndarray], source: str, required: Sequence[str] = ()
+    ) -> None:
         """Raise DataFormatError unless every video that labels (video id ->
-        per-frame labels) covers is in the corpus, with one label per frame.
-        The message starts with source, the labels' origin."""
+        per-frame labels) covers is in the corpus, with one label per frame,
+        and labels covers every video id in required. The message starts
+        with source, the labels' origin."""
         missing = sorted(set(labels) - set(self.split))
         if missing:
             raise DataFormatError(f"{source}: labels videos the corpus lacks: {missing}")
@@ -177,3 +181,6 @@ class Corpus:
                     f"{source}: label counts differ from the frame counts: "
                     f"{len(lab)} labels for video {vid!r} of {n} frames"
                 )
+        missing = [vid for vid in required if vid not in labels]
+        if missing:
+            raise DataFormatError(f"{source} lacks labels for videos {missing}")

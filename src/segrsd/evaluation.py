@@ -9,9 +9,12 @@ from .core import VideoSequence
 
 
 def mae_minutes(
-    predictions: Mapping[str, np.ndarray], videos: Sequence[VideoSequence]
+    predictions: Mapping[str, np.ndarray],
+    videos: Sequence[VideoSequence],
+    target=VideoSequence.remaining_min,
 ) -> float:
-    """Mean absolute error in minutes, averaged per video first."""
+    """Mean absolute error against target(video), by default the remaining
+    minutes, averaged per video first."""
     if not videos:
         raise ValueError("no videos to evaluate")
     errs = []
@@ -21,7 +24,7 @@ def mae_minutes(
             raise ValueError(
                 f"{video.id}: prediction length {pred.shape} != {video.n_frames} frames"
             )
-        errs.append(float(np.mean(np.abs(pred - video.remaining_min()))))
+        errs.append(float(np.mean(np.abs(pred - target(video)))))
     return float(np.mean(errs))
 
 

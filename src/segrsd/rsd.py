@@ -34,8 +34,11 @@ from .appearance import (
     CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
+    _block_buffers,
+    _leading,
     _selected_backward,
     _trunk,
+    _trunk_blocks,
     _trunk_source,
     init_appearance,
     init_dense,
@@ -44,6 +47,7 @@ from .appearance import (
 )
 from .core import Corpus, VideoSequence
 from .errors import DataFormatError, NumericalError
+from .evaluation import mae_minutes
 from .optim import minibatch_epochs
 from .segtrain import SegCheckpoint, uniform_labels
 
@@ -262,26 +266,41 @@ def init_rsd(
     )
 
 
-def _duration_head(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, elapsed: np.ndarray):
+def _duration_head(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, elapsed: np.ndarray,
+                   bufs=None):
     """The duration head on rows of [emb, ctx, elapsed minutes]; (inp, hidden, scaled).
 
-    scaled is the output before output_scale.
+    scaled is the output before output_scale. Given bufs = (inp, hidden,
+    scaled column), it computes in their leading rows.
     """
-    inp = np.hstack([emb, ctx, elapsed[:, None]])
-    hidden = np.tanh(inp @ params.head1.weights.T + params.head1.bias)
-    scaled = hidden @ params.head2.weights.T + params.head2.bias
+    n = len(emb)
+    inp = np.concatenate([emb, ctx, elapsed[:, None]], axis=1, out=_leading(bufs, 0, n))
+    hidden = np.matmul(inp, params.head1.weights.T, out=_leading(bufs, 1, n))
+    hidden += params.head1.bias
+    np.tanh(hidden, out=hidden)
+    scaled = np.matmul(hidden, params.head2.weights.T, out=_leading(bufs, 2, n))
+    scaled += params.head2.bias
     return inp, hidden, scaled[:, 0]
 
 
-def _minutes(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, video: VideoSequence):
-    """Predicted remaining minutes at every frame of video from its (emb, ctx)."""
-    return _duration_head(params, emb, ctx, video.elapsed_min())[2] / params.output_scale
+def _minutes(params: RsdParams, blocks, video: VideoSequence) -> np.ndarray:
+    """Predicted remaining minutes at every frame of video from its trunk
+    blocks (start, emb, ctx), with the head computed block by block in one
+    set of buffers."""
+    elapsed = video.elapsed_min()
+    out = np.empty(video.n_frames)
+    bufs = _block_buffers(video.n_frames, [params.head1.in_dim, params.head1.out_dim, 1])
+    for start, emb, ctx in blocks:
+        rows = slice(start, start + len(emb))
+        scaled = _duration_head(params, emb, ctx, elapsed[rows], bufs)[2]
+        np.divide(scaled, params.output_scale, out=out[rows])
+    return out
 
 
 def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
     """Predicted remaining minutes at every frame."""
-    _, emb, ctx = _trunk(params.embed, params.context_lambda, video.features)
-    return _minutes(params, emb, ctx, video)
+    blocks = _trunk_blocks(params.embed, params.context_lambda, video.features)
+    return _minutes(params, blocks, video)
 
 
 # the name under which the acceptance gates import it
@@ -394,10 +413,7 @@ def _resolve_aux_targets(
     if task == "learned_seg":
         if init is None or init.labels is None:
             raise DataFormatError("learned_seg regularization needs checkpoint labels")
-        corpus.check_labels(init.labels, "checkpoint")
-        missing = [v.id for v in videos if v.id not in init.labels]
-        if missing:
-            raise DataFormatError(f"checkpoint lacks labels for videos {missing}")
+        corpus.check_labels(init.labels, "checkpoint", [v.id for v in videos])
         targets = {v.id: np.asarray(init.labels[v.id], dtype=np.int64) for v in videos}
     elif task == "phase":
         missing = [v.id for v in videos if v.phase_labels is None]
@@ -416,13 +432,7 @@ def _resolve_aux_targets(
 def mae_of(params: RsdParams, videos: Sequence[VideoSequence],
            target=VideoSequence.remaining_min) -> float:
     """Macro-averaged MAE (per-video mean first) of the output against target(video)."""
-    return _macro_mae((predict_video(params, v) for v in videos), videos, target)
-
-
-def _macro_mae(preds, videos, target) -> float:
-    """mae_of from each video's predictions."""
-    errs = [float(np.mean(np.abs(p - target(v)))) for p, v in zip(preds, videos)]
-    return float(np.mean(errs))
+    return mae_minutes({v.id: predict_video(params, v) for v in videos}, videos, target)
 
 
 def train_rsd(
@@ -500,8 +510,8 @@ def train_rsd(
 
     def val_mae():
         first = len(all_videos) - len(val_set)  # val_set ends all_videos
-        preds = (_minutes(params, *trunk(j)[1:], v) for j, v in enumerate(val_set, first))
-        return _macro_mae(preds, val_set, val_target)
+        preds = {v.id: _minutes(params, trunk(j), v) for j, v in enumerate(val_set, first)}
+        return mae_minutes(preds, val_set, val_target)
 
     epochs = minibatch_epochs(
         params.layer_list(), params.trainable_mask, [v.n_frames for v in train_videos],

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from segrsd.appearance import _BLOCK_ROWS as B, context_accumulate
 from segrsd.core import Corpus, VideoSequence
 
 
@@ -67,3 +70,36 @@ def tiny_corpus():
     videos = [make_video(f"v{i}", n_frames=15 + i, seed=i) for i in range(4)]
     split = {"v0": "train", "v1": "train", "v2": "val", "v3": "test"}
     return Corpus(videos, split)
+
+
+# one frame, a video of one block and one of several, with a partial last block
+BLOCK_FRAMES = [2, B - 1, B, B + 1, 3 * B + 7]
+
+
+def whole_array_trunk(layers, lam, feats):
+    """[emb, ctx] of every frame in one pass over the whole array."""
+    emb = feats
+    for layer in layers:
+        emb = np.tanh(emb @ layer.weights.T + layer.bias)
+    return emb, context_accumulate(emb, lam)
+
+
+def assert_block_close(got, want, n_frames):
+    """Bit-identical for a video of one block, else within 1e-15 relative."""
+    if n_frames <= B:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def peak_bytes(fn, *args):
+    """fn(*args) and the peak memory traced during the call, net of what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -32,7 +32,18 @@ from segrsd.core import VideoSequence
 from segrsd.errors import NumericalError
 from segrsd.temporal import LOG_FLOOR
 
-from conftest import finite_difference_grads, frame_subset, grad_rel_error, make_video
+from conftest import (
+    BLOCK_FRAMES,
+    assert_block_close,
+    finite_difference_grads,
+    frame_subset,
+    grad_rel_error,
+    make_video,
+    peak_bytes,
+    whole_array_trunk,
+)
+
+B = appearance._BLOCK_ROWS
 
 
 class TestContextAccumulate:
@@ -265,6 +276,59 @@ class TestForward:
         probs = forward(params, make_video(n_features=4))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert probs.min() > 0
+
+
+class TestWholeVideoBlocks:
+    """Whole-video passes run in row blocks and match one whole-array pass."""
+
+    @staticmethod
+    def _setup(n_frames, lam):
+        params = init_appearance(np.random.default_rng(n_frames), 4, [6, 5], 3, lam)
+        return params, make_video(n_frames=n_frames, n_features=4, seed=n_frames)
+
+    @pytest.mark.parametrize("lam", [0.9, 0.3])
+    @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
+    def test_forward(self, n_frames, lam):
+        params, video = self._setup(n_frames, lam)
+        emb, ctx = whole_array_trunk(params.layers[:-1], lam, video.features)
+        head = params.layers[-1]
+        want = softmax(np.hstack([emb, ctx]) @ head.weights.T + head.bias)
+        assert_block_close(forward(params, video), want, n_frames)
+
+    @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
+    def test_frozen_trunk(self, n_frames):
+        params, video = self._setup(n_frames, 0.9)
+        embed = params.layers[:-1]
+        want = whole_array_trunk(embed, 0.9, video.features)
+        trunk = _trunk_source(embed, [False, False], 0.9, [video])
+        back, *got = trunk(0, np.arange(n_frames))
+        assert back is None
+        blocks = list(trunk(0))
+        assert [start for start, _, _ in blocks] == list(range(0, n_frames, B))
+        for i in range(2):
+            assert_block_close(got[i], want[i], n_frames)
+            np.testing.assert_array_equal(np.concatenate([b[1 + i] for b in blocks]), got[i])
+
+    @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
+    def test_live_trunk_blocks(self, n_frames):
+        params, video = self._setup(n_frames, 0.9)
+        embed = params.layers[:-1]
+        want = whole_array_trunk(embed, 0.9, video.features)
+        trunk = _trunk_source(embed, [True, True], 0.9, [video])
+        # a block is valid until the next one: copy each as it comes
+        blocks = [(start, emb.copy(), ctx.copy()) for start, emb, ctx in trunk(0)]
+        assert [start for start, _, _ in blocks] == list(range(0, n_frames, B))
+        for i in range(2):
+            assert_block_close(np.concatenate([b[1 + i] for b in blocks]), want[i], n_frames)
+
+    def test_forward_memory_is_blocks_not_frames(self):
+        # a whole-array pass holds several (frames, 2h) arrays at once; the
+        # blocked pass holds its output and buffers of B rows
+        h = 32
+        params = init_appearance(np.random.default_rng(0), 4, [h], 5)
+        video = make_video(n_frames=20 * B, n_features=4)
+        probs, peak = peak_bytes(forward, params, video)
+        assert peak <= probs.nbytes + 8 * B * 2 * h * 8
 
 
 class TestStagedMask:

@@ -9,6 +9,7 @@ from segrsd.core import (
     derived_rng,
     segmentation_to_labels,
 )
+from segrsd.errors import DataFormatError
 
 from conftest import make_video
 
@@ -108,6 +109,18 @@ class TestCorpus:
         assert tiny_corpus.feature_dim == 4
         assert [v.id for v in tiny_corpus.by_split("train")] == ["v0", "v1"]
         assert tiny_corpus.video("v2").id == "v2"
+
+    def test_check_labels_required_videos(self, tiny_corpus):
+        labels = {"v0": np.zeros(15), "v2": np.zeros(17)}
+        tiny_corpus.check_labels(labels, "ckpt")
+        tiny_corpus.check_labels(labels, "ckpt", ["v2", "v0"])
+        with pytest.raises(DataFormatError) as err:
+            tiny_corpus.check_labels(labels, "ckpt", ["v3", "v0", "v1"])
+        assert str(err.value) == "ckpt lacks labels for videos ['v3', 'v1']"
+
+    def test_check_labels_counts_before_coverage(self, tiny_corpus):
+        with pytest.raises(DataFormatError, match="label counts differ"):
+            tiny_corpus.check_labels({"v0": np.zeros(14)}, "ckpt", ["v1"])
 
 
 class TestSeedDerivation:

@@ -30,7 +30,18 @@ from segrsd.rsd import (
     train_rsd,
 )
 
-from conftest import finite_difference_grads, frame_subset, grad_rel_error, make_video
+from conftest import (
+    BLOCK_FRAMES,
+    assert_block_close,
+    finite_difference_grads,
+    frame_subset,
+    grad_rel_error,
+    make_video,
+    peak_bytes,
+    whole_array_trunk,
+)
+
+B = appearance._BLOCK_ROWS
 
 
 CORR = CorridorParams(t_median=40.0)
@@ -257,6 +268,32 @@ class TestForward:
         np.testing.assert_allclose(
             rsd_forward(a, video), 2.0 * rsd_forward(b, video), rtol=1e-12
         )
+
+
+class TestPredictBlocks:
+    """predict_video runs in row blocks and matches one whole-array pass."""
+
+    @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
+    def test_matches_whole_array_pass(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        params = init_rsd(rng, 3, embed=[init_dense(rng, 3, 7), init_dense(rng, 7, 5)])
+        video = make_video(n_frames=n_frames, n_features=3, seed=n_frames, period=2.0)
+        emb, ctx = whole_array_trunk(params.embed, params.context_lambda, video.features)
+        inp = np.hstack([emb, ctx, video.elapsed_min()[:, None]])
+        hidden = np.tanh(inp @ params.head1.weights.T + params.head1.bias)
+        scaled = hidden @ params.head2.weights.T + params.head2.bias
+        want = scaled[:, 0] / params.output_scale
+        assert_block_close(predict_video(params, video), want, n_frames)
+
+    def test_memory_is_blocks_not_frames(self):
+        # a whole-array pass holds several (frames, 65) arrays at once; the
+        # blocked pass holds its output, the elapsed minutes and buffers of
+        # B rows
+        params = init_rsd(np.random.default_rng(0), 4)
+        width = params.head1.in_dim
+        video = make_video(n_frames=20 * B, n_features=4)
+        minutes, peak = peak_bytes(predict_video, params, video)
+        assert peak <= minutes.nbytes + 8 * B * width * 8
 
 
 class TestGradients:
@@ -554,14 +591,15 @@ class TestFrozenEmbedding:
         assert mae_of(params, corpus.by_split("val")) == min(h[2] for h in hist)
 
 
-def _rsd_corpus(seed=0, n_videos=8, period=6.0):
-    """Remaining time is linearly decodable from the first feature column."""
+def _rsd_corpus(seed=0, n_videos=8, period=6.0, frames=(20, 41)):
+    """Remaining time is linearly decodable from the first feature column;
+    frame counts are drawn from the half-open range frames."""
     rng = np.random.default_rng(seed)
     videos = []
     split = {}
     names = ["train"] * (n_videos - 4) + ["train", "train", "val", "test"]
     for i in range(n_videos):
-        n_frames = int(rng.integers(20, 41))
+        n_frames = int(rng.integers(*frames))
         vid = f"v{i}"
         video = make_video(vid, n_frames=n_frames, n_features=3, seed=100 + i,
                            period=period)
@@ -622,14 +660,13 @@ class TestTrainRsd:
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
         train, [val] = corpus.by_split("train"), corpus.by_split("val")
-        trunk, whole = appearance._trunk, []
+        blocks, whole = appearance._trunk_blocks, []
 
-        def counted(layers, lam, feats, rows=None):
-            if rows is None:
-                whole.append(next(v.id for v in corpus.videos if v.features is feats))
-            return trunk(layers, lam, feats, rows)
+        def counted(layers, lam, feats):
+            whole.append(next(v.id for v in corpus.videos if v.features is feats))
+            return blocks(layers, lam, feats)
 
-        monkeypatch.setattr(appearance, "_trunk", counted)
+        monkeypatch.setattr(appearance, "_trunk_blocks", counted)
         init = AuxInit([init_dense(np.random.default_rng(5), 3, 6)], context_lambda=0.9)
         cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, seed=1)
         _, hist = train_rsd(corpus, init, PipelineMode("feature_extraction", "uniform"),
@@ -698,6 +735,35 @@ class TestTrainRsd:
         val = corpus.by_split("val")
         assert mae_of(params, val) == pytest.approx(min(h[2] for h in hist))
         assert [h[0] for h in hist] == list(range(8))
+
+    @pytest.mark.parametrize("pipeline", ["single_task", "feature_extraction"])
+    def test_best_val_mae_is_mae_of_on_videos_of_several_blocks(self, pipeline):
+        # the per-epoch val MAE runs the same blocks as predict_video, from
+        # the live layers or from the frozen cache, so the two agree exactly
+        corpus = _rsd_corpus(n_videos=6, frames=(B + 1, 3 * B))
+        [val] = corpus.by_split("val")
+        assert val.n_frames > B
+        corr = CorridorParams.from_corpus(corpus)
+        if pipeline == "single_task":
+            init, mode = None, PipelineMode(pipeline, "none")
+        else:
+            init = AuxInit([init_dense(np.random.default_rng(5), 3, 6)], context_lambda=0.9)
+            mode = PipelineMode(pipeline, "uniform")
+        cfg = TrainConfig(learning_rate=1e-2, epochs=3, seed=2)
+        params, hist = train_rsd(corpus, init, mode, "smoothl1", cfg, corr, verbose=False)
+        assert params.trainable_mask[0] == (pipeline == "single_task")
+        assert mae_of(params, [val]) == min(h[2] for h in hist)
+
+    def test_learned_seg_names_videos_without_labels(self):
+        corpus = _rsd_corpus()
+        train = corpus.by_split("train")
+        labels = {v.id: np.zeros(v.n_frames, dtype=np.int64) for v in train[1:]}
+        init = AuxInit([init_dense(np.random.default_rng(7), 3, 6)], 0.9, labels=labels)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=1)
+        with pytest.raises(DataFormatError) as err:
+            train_rsd(corpus, init, PipelineMode("regularization", "learned_seg"),
+                      "smoothl1", cfg, CorridorParams.from_corpus(corpus), verbose=False)
+        assert str(err.value) == f"checkpoint lacks labels for videos {[train[0].id]}"
 
     def test_history_line_format(self, capsys):
         corpus = _rsd_corpus()

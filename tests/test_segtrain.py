@@ -272,14 +272,13 @@ class TestRun:
         # whole-video trunk passes: one per video per iteration, which the
         # sampler, the CE and the TC share, plus iteration 1's frozen cache
         corpus, config = self._three_iterations()
-        trunk, whole = appearance._trunk, []
+        blocks, whole = appearance._trunk_blocks, []
 
-        def counted(layers, lam, feats, rows=None):
-            if rows is None:
-                whole.append(len(feats))
-            return trunk(layers, lam, feats, rows)
+        def counted(layers, lam, feats):
+            whole.append(len(feats))
+            return blocks(layers, lam, feats)
 
-        monkeypatch.setattr(appearance, "_trunk", counted)
+        monkeypatch.setattr(appearance, "_trunk_blocks", counted)
         assert len(run(corpus, config, verbose=False)) == 3
         assert len(whole) == 5 * 3 + 5
 
