@@ -330,35 +330,63 @@ def _trunk_blocks(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray):
         yield start, emb, c
 
 
-def _trunk_source(layers, mask, lam, videos):
-    """trunk(vi, rows=None) over videos[vi] under the live layers: with rows,
-    _trunk's (back, emb, ctx); without, _trunk_blocks' blocks. With no
-    embedding layer training, each video's whole [emb, ctx] is computed once
-    here, block by block, and read at rows or in the same blocks, with back
-    None."""
+def _trunk_source(layers, mask, lam, videos, head_loss):
+    """(blocks, batch_loss) of videos under the live layers.
+
+    blocks(vi) yields _trunk_blocks' (start, emb, ctx) of videos[vi].
+    batch_loss(rows) is optim.minibatch_epochs' batch loss: rows are sorted
+    rows of the videos' frames stacked in order, and it returns (loss, grads)
+    of head_loss(trunk, rows, weight), trunk = (back, emb, ctx) at rows, with
+    each touched video weighing 1/touched. On live layers head_loss runs once
+    per touched video, in increasing order, on _trunk of its rows with weight
+    1/touched, and the losses and grads are summed (a frozen layer's None
+    stays None). With no embedding layer training, every frame's [emb, ctx]
+    is computed once here, block by block, into one (frames, h) pair that
+    blocks reads too; a batch gathers its rows from it, back None, and runs
+    head_loss once with per-row weights (1/touched)/n_v on video v's n_v rows.
+    """
+    offsets = np.cumsum([0, *(video.n_frames for video in videos)])
     if any(mask):
-        def live(vi, rows=None):
-            feats = videos[vi].features
-            if rows is None:
-                return _trunk_blocks(layers, lam, feats)
-            return _trunk(layers, lam, feats, rows)
+        def live_blocks(vi):
+            return _trunk_blocks(layers, lam, videos[vi].features)
 
-        return live
-    whole = []
-    for video in videos:
-        emb, ctx = np.empty((2, video.n_frames, layers[-1].out_dim))
+        def live_batch(rows):
+            cuts = np.searchsorted(rows, offsets)
+            touched = np.flatnonzero(np.diff(cuts))
+            loss, total = 0.0, None
+            for vi in touched:
+                at = rows[cuts[vi]:cuts[vi + 1]]
+                trunk = _trunk(layers, lam, videos[vi].features, at - offsets[vi])
+                part, grads = head_loss(trunk, at, 1.0 / len(touched))
+                loss += part
+                if total is None:
+                    total = grads
+                else:
+                    for acc, g in zip(total, grads):
+                        if acc is not None:
+                            acc[0] += g[0]
+                            acc[1] += g[1]
+            return loss, total
+
+        return live_blocks, live_batch
+    emb, ctx = np.empty((2, offsets[-1], layers[-1].out_dim))
+    for video, at in zip(videos, offsets):
         for start, e, c in _trunk_blocks(layers, lam, video.features):
-            emb[start:start + len(e)], ctx[start:start + len(e)] = e, c
-        whole.append((emb, ctx))
+            rows = slice(at + start, at + start + len(e))
+            emb[rows], ctx[rows] = e, c
 
-    def cached(vi, rows=None):
-        emb, ctx = whole[vi]
-        if rows is None:
-            return ((s, emb[s:s + _BLOCK_ROWS], ctx[s:s + _BLOCK_ROWS])
-                    for s in range(0, len(emb), _BLOCK_ROWS))
-        return None, emb[rows], ctx[rows]
+    def cached_blocks(vi):
+        e, c = emb[offsets[vi]:offsets[vi + 1]], ctx[offsets[vi]:offsets[vi + 1]]
+        return ((s, e[s:s + _BLOCK_ROWS], c[s:s + _BLOCK_ROWS])
+                for s in range(0, len(e), _BLOCK_ROWS))
 
-    return cached
+    def cached_batch(rows):
+        counts = np.diff(np.searchsorted(rows, offsets))
+        counts = counts[counts > 0]
+        weights = np.repeat(1.0 / len(counts) / counts, counts)
+        return head_loss((None, emb[rows], ctx[rows]), rows, weights)
+
+    return cached_blocks, cached_batch
 
 
 def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray, bufs=None):
@@ -422,19 +450,30 @@ def _selected_backward(layers, mask, back, d_phi):
     return _embed_backward(layers, mask, acts, d)
 
 
-def softmax_cross_entropy(logits, labels, weight: float = 1.0):
-    """weight * mean cross-entropy of softmax(logits) against labels, row by row.
+def _weighted(weight, terms):
+    """(loss, row factors) of per-row loss terms: weight * mean(terms) and
+    weight / n for a scalar weight (one video's mean), sum(weight * terms)
+    and weight for per-row weights (a batch over several videos). A term's
+    gradient times its row factor is the loss's gradient."""
+    if np.ndim(weight):
+        return float((weight * terms).sum()), weight
+    return weight * float(np.mean(terms)), weight / len(terms)
+
+
+def softmax_cross_entropy(logits, labels, weight=1.0):
+    """Cross-entropy of softmax(logits) against labels, row by row: weight *
+    its mean for a scalar weight, its sum weighted by per-row weights.
 
     Returns (loss, dlogits); dlogits has the shape of logits.
     """
     targets = np.asarray(labels, dtype=np.int64)
     rows = np.arange(len(targets))
     lp = log_softmax(logits)
-    loss = -weight * float(lp[rows, targets].mean())
+    loss, factors = _weighted(weight, lp[rows, targets])
     dlogits = np.exp(lp)
     dlogits[rows, targets] -= 1.0
-    dlogits *= weight / len(targets)
-    return loss, dlogits
+    dlogits *= np.reshape(factors, (-1, 1))
+    return -loss, dlogits
 
 
 def cross_entropy_loss_and_grads(
@@ -461,7 +500,8 @@ def cross_entropy_loss_and_grads(
 
 def _cross_entropy(params: AppearanceParams, trunk, labels, weight):
     """The head and loss of cross_entropy_loss_and_grads on trunk = (back, emb,
-    ctx) at the batch rows; back may be None when the whole embedding is frozen."""
+    ctx) at the batch rows, weighted as softmax_cross_entropy; back may be
+    None when the whole embedding is frozen."""
     back, emb, ctx = trunk
     head = params.layers[-1]
     phi, logits = _logits(head, emb, ctx)
@@ -509,9 +549,9 @@ def train_appearance(
     Batches come from `optim.minibatch_epochs`: frames drawn without
     replacement within each epoch, each touched video weighted equally and
     run through its last selected frame, so context gradients stay exact.
-    With the whole embedding frozen, each video's [emb, ctx] is computed once
-    per call and every batch reads it. Only trains: the caller measures the
-    result. Deterministic given (params, config, data).
+    With the whole embedding frozen, every frame's [emb, ctx] is computed
+    once per call and each batch runs the head once on its rows. Only trains:
+    the caller measures the result. Deterministic given (params, config, data).
     """
     for video in videos:
         if video.id not in labels:
@@ -522,17 +562,17 @@ def train_appearance(
     if config.epochs <= 0 or not any(out.trainable_mask):
         return out
 
-    labs = [np.asarray(labels[v.id], dtype=np.int64) for v in videos]
-    trunk = _trunk_source(
-        out.layers[:-1], out.trainable_mask[:-1], out.context_lambda, videos
+    labs = np.concatenate([np.asarray(labels[v.id], dtype=np.int64) for v in videos])
+
+    def head_loss(trunk, rows, weight):
+        return _cross_entropy(out, trunk, labs[rows], weight)
+
+    _, batch_loss = _trunk_source(
+        out.layers[:-1], out.trainable_mask[:-1], out.context_lambda, videos, head_loss,
     )
-
-    def video_loss(vi, idx, weight):
-        return _cross_entropy(out, trunk(vi, idx), labs[vi][idx], weight)
-
     for _ in minibatch_epochs(
-        out.layers, out.trainable_mask, [v.n_frames for v in videos], config,
-        np.random.default_rng(config.seed), video_loss,
+        out.layers, out.trainable_mask, len(labs), config,
+        np.random.default_rng(config.seed), batch_loss,
     ):
         pass
     return out
@@ -593,7 +633,12 @@ class _TcBuffers:
 
 def _tc_step(embed, mask, feats, pairs, margin: float, bufs: _TcBuffers):
     """temporal_coherence_loss_and_grads of embed on feats and int64 (P, 2)
-    pairs, computed in bufs (at least max(len(feats), P) rows)."""
+    pairs, computed in bufs (at least max(len(feats), P) rows).
+
+    Only the pairs inside the margin are scattered into the embedding
+    gradient: every other pair's gradient row is zero, and adding it would
+    change no bit. A pair row outside the video raises IndexError.
+    """
     acts = _embed_chain(embed, feats, bufs.acts)
     e = acts[-1]
     n = len(e)
@@ -618,20 +663,23 @@ def _tc_step(embed, mask, feats, pairs, margin: float, bufs: _TcBuffers):
         d_emb[:-2] += g
     p = len(pairs)
     if p:
+        if pairs.min() < -n or pairs.max() >= n:
+            raise IndexError(f"pair row outside the video's {n} frames")
         ti, ui = pairs[:, 0], pairs[:, 1]
         # mode="wrap" gathers straight into the buffer ("raise" copies out);
-        # it reads negative rows as e[ti] does, and a row outside the video
-        # still raises IndexError in _add_rows_at
+        # the rows are in bounds, so it reads negative rows as e[ti] does
         diff = e.take(ti, axis=0, out=bufs.diff[:p], mode="wrap")
         diff -= e.take(ui, axis=0, out=bufs.aux[:p], mode="wrap")
         # epsilon keeps the gradient defined when two embeddings coincide
         dist = np.sqrt(np.multiply(diff, diff, out=bufs.aux[:p]).sum(axis=1) + 1e-12)
         viol = np.maximum(0.0, margin - dist)
         loss += float((viol * viol).sum()) / p
-        coef = np.where(viol > 0, -2.0 * viol / dist, 0.0) / p
-        gp = np.multiply(coef[:, None], diff, out=diff)
-        _add_rows_at(d_emb, ti, gp, bufs.flat_idx[:p])
-        _add_rows_at(d_emb, ui, np.negative(gp, out=bufs.aux[:p]), bufs.flat_idx[:p])
+        active = np.flatnonzero(viol > 0)
+        a = len(active)
+        coef = -2.0 * viol[active] / dist[active] / p
+        gp = np.multiply(coef[:, None], diff[active], out=bufs.aux[:a])
+        _add_rows_at(d_emb, ti[active], gp, bufs.flat_idx[:a])
+        _add_rows_at(d_emb, ui[active], np.negative(gp, out=gp), bufs.flat_idx[:a])
     return loss, _embed_backward(embed, mask, acts, d_emb, bufs.dpre, bufs.down)
 
 

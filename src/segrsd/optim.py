@@ -4,10 +4,14 @@ Gradients arrive as (d_weights, d_bias) pairs aligned with the layer list.
 Frozen embedding layers get no gradient at all (None in place of the pair),
 and the optimizers skip every frozen layer (mask False), so their parameters
 stay bit-identical and no optimizer state is made for them.
-`minibatch_epochs` is the one frame minibatch loop; the classifier and the
-duration regressor differ only in the per-video loss they hand it. Those
-losses embed a video through its last selected frame and compute the causal
-context at the selected frames only, so a batch never scans a whole prefix.
+`minibatch_epochs` is the one frame minibatch loop: it calls its batch loss
+once per batch, on the batch's rows of the training frames stacked in video
+order. The classifier and the duration regressor differ only in the head and
+loss they hand `appearance._trunk_source`, which builds that batch loss: on
+live layers it embeds each touched video through its last selected frame and
+computes the causal context at the selected frames only, so a batch never
+scans a whole prefix; on a frozen embedding it reads every row from one
+cache and runs the head once.
 """
 from __future__ import annotations
 
@@ -89,47 +93,31 @@ def add_l2(layers, grads, loss, l2_weight):
 
 
 def minibatch_epochs(
-    layers, mask, n_frames_per_video, config, rng, loss_and_grads, lr_multipliers=None
+    layers, mask, n_frames, config, rng, batch_loss, lr_multipliers=None
 ):
     """Train `layers` on frame minibatches; yields each epoch's mean batch loss.
 
-    Every epoch draws all frames once without replacement and cuts the draw
-    into batches of config.batch_size frames. For each video a batch touches,
-    in increasing video order, it calls loss_and_grads(video_index,
-    sorted_frame_indices, weight) with weight = 1 / (videos touched), so the
-    batch loss is the mean over touched videos of each video's mean frame
-    loss, the same average the evaluation MAE takes. The grads are summed
-    (a frozen layer's None stays None), the L2 term is added once, and the
-    optimizer steps. A non-finite batch loss raises NumericalError before
-    the step.
+    The training videos' frames are stacked in video order, n_frames rows in
+    all. Every epoch draws all rows once without replacement and cuts the
+    draw into batches of config.batch_size rows. Each batch makes one call,
+    batch_loss(rows) with its rows sorted, which groups them by video; the
+    trainers' batch loss (appearance._trunk_source) is the mean over touched
+    videos of each video's mean frame loss, the same average the evaluation
+    MAE takes. The L2 term is added once to the batch's (loss, grads), and the
+    optimizer steps. A non-finite batch loss raises NumericalError before the
+    step.
     """
     opt = make_optimizer(config)
-    video_of = np.repeat(np.arange(len(n_frames_per_video)), n_frames_per_video)
-    frame_of = np.concatenate([np.arange(n) for n in n_frames_per_video])
     for epoch in range(config.epochs):
-        perm = rng.permutation(len(video_of))
+        perm = rng.permutation(n_frames)
         batch_losses = []
-        for start in range(0, len(perm), config.batch_size):
-            batch = perm[start:start + config.batch_size]
-            batch_videos = video_of[batch]
-            touched = np.flatnonzero(np.bincount(batch_videos))
-            loss, total = 0.0, None
-            for vi in touched:
-                idx = np.sort(frame_of[batch[batch_videos == vi]])
-                part, grads = loss_and_grads(int(vi), idx, 1.0 / len(touched))
-                loss += part
-                if total is None:
-                    total = grads
-                else:
-                    for acc, g in zip(total, grads):
-                        if acc is not None:
-                            acc[0] += g[0]
-                            acc[1] += g[1]
-            loss = add_l2(layers, total, loss, config.l2_weight)
+        for start in range(0, n_frames, config.batch_size):
+            loss, grads = batch_loss(np.sort(perm[start:start + config.batch_size]))
+            loss = add_l2(layers, grads, loss, config.l2_weight)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch start {start}"
                 )
-            opt.step(layers, total, mask, lr_multipliers)
+            opt.step(layers, grads, mask, lr_multipliers)
             batch_losses.append(loss)
         yield float(np.mean(batch_losses))

@@ -40,6 +40,7 @@ from .appearance import (
     _trunk,
     _trunk_blocks,
     _trunk_source,
+    _weighted,
     init_appearance,
     init_dense,
     softmax_cross_entropy,
@@ -329,20 +330,22 @@ def rsd_loss_and_grads(
     """
     idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
     trunk = _trunk(params.embed, params.context_lambda, video.features, idx)
-    return _rsd_loss(params, video, idx, trunk, loss_name, corridor,
-                     aux_target, aux_weight, weight, target_kind)
+    aux = None if aux_target is None else np.asarray(aux_target)[idx]
+    return _rsd_loss(params, trunk, video.elapsed_min()[idx], video.remaining_min()[idx],
+                     aux, weight, loss_name, corridor, aux_weight, target_kind)
 
 
-def _rsd_loss(params: RsdParams, video, idx, trunk, loss_name, corridor,
-              aux_target, aux_weight, weight, target_kind):
+def _rsd_loss(params: RsdParams, trunk, elapsed, remaining, aux_target, weight,
+              loss_name, corridor, aux_weight, target_kind):
     """The heads and losses of rsd_loss_and_grads on trunk = (back, emb, ctx)
-    at rows idx; back may be None when the whole embedding is frozen."""
+    and the elapsed and remaining minutes and aux targets at the same rows;
+    back may be None when the whole embedding is frozen. A scalar weight
+    weighs the mean over the rows, per-row weights their sum
+    (appearance._weighted)."""
     back, emb, ctx = trunk
-    elapsed = video.elapsed_min()[idx]
-    remaining = video.remaining_min()[idx]
     inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
 
-    pi = np.ones(len(idx))
+    pi = np.ones(len(elapsed))
     if target_kind == "duration":
         target = corridor.scale * remaining
         if loss_name == "corr":
@@ -357,8 +360,8 @@ def _rsd_loss(params: RsdParams, video, idx, trunk, loss_name, corridor,
     else:
         raise ValueError(f"unknown target kind {target_kind!r}")
 
-    loss = weight * float(np.mean(pi * smooth_l1(pred, target, corridor.beta)))
-    dpred = weight / len(idx) * pi * smooth_l1_grad(pred, target, corridor.beta)
+    loss, factors = _weighted(weight, pi * smooth_l1(pred, target, corridor.beta))
+    dpred = factors * pi * smooth_l1_grad(pred, target, corridor.beta)
 
     # backward through the duration head
     dhidden = dpred[:, None] * params.head2.weights
@@ -371,13 +374,14 @@ def _rsd_loss(params: RsdParams, video, idx, trunk, loss_name, corridor,
     aux_grad = None
     if params.aux_head is not None and aux_target is not None:
         z = emb @ params.aux_head.weights.T + params.aux_head.bias
-        tgt = np.asarray(aux_target)[idx]
         aux_w = aux_weight * weight
         if params.aux_kind == "classes":
-            aux_loss, dz = softmax_cross_entropy(z, tgt, aux_w)
+            aux_loss, dz = softmax_cross_entropy(z, aux_target, aux_w)
         else:
-            aux_loss = aux_w * float(np.mean(smooth_l1(z[:, 0], tgt, corridor.beta)))
-            dz = aux_w / len(idx) * smooth_l1_grad(z, tgt[:, None], corridor.beta)
+            aux_loss, factors = _weighted(aux_w, smooth_l1(z[:, 0], aux_target, corridor.beta))
+            dz = np.reshape(factors, (-1, 1)) * smooth_l1_grad(
+                z, aux_target[:, None], corridor.beta
+            )
         loss += aux_loss
         aux_grad = [dz.T @ inp[:, :h], dz.sum(axis=0)]
         dinp[:, :h] += dz @ params.aux_head.weights
@@ -453,8 +457,9 @@ def train_rsd(
     History rows are (epoch, train_loss, val_mae). The returned parameters
     are the snapshot with the lowest validation MAE. A non-finite loss stops
     training and returns the best parameters seen so far. With the whole
-    embedding frozen (feature_extraction), each train and val video's
-    [emb, ctx] is computed once per call and every batch and val MAE reads it.
+    embedding frozen (feature_extraction), every train and val frame's
+    [emb, ctx] is computed once per call, each batch runs the heads once on
+    its rows, and every val MAE reads it.
     """
     if loss_name not in LOSSES:
         raise ValueError(f"unknown loss {loss_name!r}")
@@ -498,24 +503,29 @@ def train_rsd(
     val_set = val_videos or train_videos
     val_target = _progress_of if target_kind == "progress" else VideoSequence.remaining_min
     all_videos = [*train_videos, *val_videos]
-    trunk = _trunk_source(
-        params.embed, params.trainable_mask[:n_embed], params.context_lambda, all_videos,
-    )
+    # the train videos' targets, stacked as minibatch_epochs stacks their frames
+    elapsed = np.concatenate([v.elapsed_min() for v in train_videos])
+    remaining = np.concatenate([v.remaining_min() for v in train_videos])
+    aux = np.concatenate([aux_targets[v.id] for v in train_videos]) if aux_targets else None
 
-    def video_loss(vi, idx, weight):
-        video = train_videos[vi]
-        aux_target = aux_targets[video.id] if aux_targets else None
-        return _rsd_loss(params, video, idx, trunk(vi, idx), loss_name, corridor,
-                         aux_target, aux_weight, weight, target_kind)
+    def head_loss(trunk, rows, weight):
+        return _rsd_loss(params, trunk, elapsed[rows], remaining[rows],
+                         None if aux is None else aux[rows], weight,
+                         loss_name, corridor, aux_weight, target_kind)
+
+    blocks, batch_loss = _trunk_source(
+        params.embed, params.trainable_mask[:n_embed], params.context_lambda, all_videos,
+        head_loss,
+    )
 
     def val_mae():
         first = len(all_videos) - len(val_set)  # val_set ends all_videos
-        preds = {v.id: _minutes(params, trunk(j), v) for j, v in enumerate(val_set, first)}
+        preds = {v.id: _minutes(params, blocks(j), v) for j, v in enumerate(val_set, first)}
         return mae_minutes(preds, val_set, val_target)
 
     epochs = minibatch_epochs(
-        params.layer_list(), params.trainable_mask, [v.n_frames for v in train_videos],
-        config, rng, video_loss, lr_mult,
+        params.layer_list(), params.trainable_mask, len(elapsed), config, rng, batch_loss,
+        lr_mult,
     )
     try:
         for epoch, loss in enumerate(epochs):

@@ -8,11 +8,11 @@ checkpoint scored by the temporal coherence (TC) of the same probabilities.
 The best checkpoint inside a trailing iteration window is the one handed to
 downstream training.
 
-Fixed settings: the Mallows prior holds NU0 pseudo-observations of R0
-inversions per slot (R0 also disperses the initial orders), the length model
-adds ALPHA0 pseudo-counts per subactivity, the classifier trains with
-TrainConfig's defaults at each stage's epochs and seed, and the sampler
-proposes a birth or death with probability temporal.BIRTH_DEATH_PROB.
+Fixed settings: the order and length models keep their default priors,
+temporal.NU0, R0 and ALPHA0 (R0 also disperses the initial orders), the
+classifier trains with TrainConfig's defaults at each stage's epochs and
+seed, and the sampler proposes a birth or death with probability
+temporal.BIRTH_DEATH_PROB.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .errors import NumericalError
 from .temporal import (
     LengthModel,
     MallowsModel,
+    R0,
     estimate_rho,
     inversions_to_order,
     mallows_sample,
@@ -50,10 +51,6 @@ logger = logging.getLogger("segrsd")
 
 # the exact TC search takes O(2^n * n) time and O(2^n) memory for n labels
 MAX_COHERENT_LABELS = 16
-
-NU0 = 0.1
-R0 = 1.0
-ALPHA0 = 1.0
 
 
 @dataclass
@@ -236,8 +233,8 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
             seed=int(derived_rng(config.seed, "tc").integers(2 ** 31)),
         )
         params = tc_pretrain(videos, params, pre_cfg)
-    mallows = MallowsModel.with_constant_rho(k, R0, NU0, R0)
-    length_model = LengthModel.uniform(k, ALPHA0)
+    mallows = MallowsModel.with_constant_rho(k, R0)
+    length_model = LengthModel.uniform(k)
 
     labels = {vid: segmentation_to_labels(seg) for vid, seg in segs.items()}
     checkpoints: list[SegCheckpoint] = []
@@ -257,9 +254,9 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
         counts = np.zeros(k)
         for vid in labels:
             counts += np.bincount(labels[vid], minlength=k)
-        length_model = LengthModel(k, update_theta(counts, length_model), ALPHA0)
+        length_model = LengthModel(k, update_theta(counts, length_model))
         observed = [partial_order_inversions(segs[v.id].order, k) for v in videos]
-        mallows = MallowsModel(k, estimate_rho(observed, mallows), NU0, R0)
+        mallows = MallowsModel(k, estimate_rho(observed, mallows))
 
         segs = {
             v.id: sample_segmentation(
@@ -279,7 +276,7 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
             SegCheckpoint(
                 iteration=iteration,
                 appearance=params.copy(),
-                mallows=copy.deepcopy(mallows),
+                mallows=mallows,  # immutable
                 lengths=copy.deepcopy(length_model),
                 labels=labels,
                 tc_score=tc,

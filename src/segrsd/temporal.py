@@ -19,35 +19,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Segmentation
+from .core import Segmentation, _freeze
 
 LOG_FLOOR = -745.0  # below log(smallest subnormal double); used for zero probabilities
 BIRTH_DEATH_PROB = 0.1  # chance per sweep of a birth/death proposal
 RHO_MAX = 50.0  # upper end of estimate_rho's bisection bracket [0, RHO_MAX]
 RHO_TOL = 1e-8  # bisection stops once the bracket is this narrow
 
-@dataclass
+# The segmentation priors: the Mallows prior holds NU0 pseudo-observations of
+# R0 inversions per slot, and the length model adds ALPHA0 pseudo-counts per
+# subactivity.
+NU0 = 0.1
+R0 = 1.0
+ALPHA0 = 1.0
+
+
+@dataclass(frozen=True)
 class MallowsModel:
-    """Dispersion per inversion slot plus the conjugate-style prior weights."""
+    """Dispersion per inversion slot plus the conjugate-style prior weights.
+
+    Immutable, rho included, so the per-slot CDF table that mallows_sample
+    reads, built once here, always matches rho.
+    """
 
     n_subactivities: int
     rho: np.ndarray = field(repr=False)  # (K-1,) non-negative
-    nu0: float = 0.1   # prior strength (pseudo-observation count)
-    r0: float = 1.0    # prior mean inversion count per slot
+    nu0: float = NU0   # prior strength (pseudo-observation count)
+    r0: float = R0     # prior mean inversion count per slot
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=np.float64)
+        rho = _freeze(np.array(self.rho, dtype=np.float64))
+        object.__setattr__(self, "rho", rho)
         if self.n_subactivities < 1:
             raise ValueError("need at least one subactivity")
-        if self.rho.shape != (self.n_subactivities - 1,):
+        if rho.shape != (self.n_subactivities - 1,):
             raise ValueError(
-                f"rho must have {self.n_subactivities - 1} entries, got {self.rho.shape}"
+                f"rho must have {self.n_subactivities - 1} entries, got {rho.shape}"
             )
-        if self.rho.size and self.rho.min() < 0:
+        if rho.size and rho.min() < 0:
             raise ValueError("rho entries must be non-negative")
+        # row i: the CDF of slot i's truncated geometric over 0..K-1-i, +inf
+        # past the slot's size
+        k = self.n_subactivities
+        cdf = np.full((k - 1, k), np.inf)
+        for i in range(k - 1):
+            n = k - i
+            row = np.cumsum(np.exp(-float(rho[i]) * np.arange(n)))
+            row /= row[-1]
+            cdf[i, :n] = row
+        object.__setattr__(self, "_cdf", _freeze(cdf))
 
     @classmethod
-    def with_constant_rho(cls, n_subactivities, rho_value, nu0=0.1, r0=1.0):
+    def with_constant_rho(cls, n_subactivities, rho_value, nu0=NU0, r0=R0):
         return cls(n_subactivities, np.full(max(n_subactivities - 1, 0), float(rho_value)), nu0, r0)
 
 
@@ -57,7 +80,7 @@ class LengthModel:
 
     n_subactivities: int
     theta: np.ndarray = field(repr=False)  # (K,) simplex
-    alpha0: float = 1.0
+    alpha0: float = ALPHA0
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -67,7 +90,7 @@ class LengthModel:
             raise ValueError("theta must be a probability vector")
 
     @classmethod
-    def uniform(cls, n_subactivities, alpha0=1.0):
+    def uniform(cls, n_subactivities, alpha0=ALPHA0):
         return cls(n_subactivities, np.full(n_subactivities, 1.0 / n_subactivities), alpha0)
 
 
@@ -141,16 +164,12 @@ def truncated_geometric_mean(rho: float, n: int) -> float:
 
 
 def mallows_sample(model: MallowsModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw an inversion vector; slots are independent truncated geometrics."""
-    k = model.n_subactivities
-    v = np.zeros(max(k - 1, 0), dtype=np.int64)
-    for i in range(k - 1):
-        n = k - i
-        w = np.exp(-float(model.rho[i]) * np.arange(n))
-        cdf = np.cumsum(w)
-        cdf /= cdf[-1]
-        v[i] = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return v
+    """Draw an inversion vector; slots are independent truncated geometrics.
+
+    Slot i's count is the number of its CDF entries at or below a uniform
+    draw, the draws taken in slot order.
+    """
+    return (model._cdf <= rng.random(model.n_subactivities - 1)[:, None]).sum(axis=1)
 
 
 def estimate_rho(observed, model: MallowsModel) -> np.ndarray:

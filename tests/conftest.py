@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segrsd import optim
 from segrsd.appearance import _BLOCK_ROWS as B, context_accumulate
 from segrsd.core import Corpus, VideoSequence
 
@@ -43,6 +44,39 @@ def grad_rel_error(analytic, numeric):
     )
     denom = max(np.linalg.norm(n), 1e-12)
     return np.linalg.norm(a - n) / denom
+
+
+def per_video_epochs(layers, mask, n_frames_per_video, config, rng, video_loss):
+    """The minibatch loop as it was before one call per batch: for each video
+    a batch touches, in increasing order, video_loss(video_index,
+    sorted_frame_indices, 1 / touched); grads summed, L2 added, one step.
+    Yields each epoch's mean batch loss."""
+    opt = optim.make_optimizer(config)
+    video_of = np.repeat(np.arange(len(n_frames_per_video)), n_frames_per_video)
+    frame_of = np.concatenate([np.arange(n) for n in n_frames_per_video])
+    for _ in range(config.epochs):
+        perm = rng.permutation(len(video_of))
+        batch_losses = []
+        for start in range(0, len(perm), config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            batch_videos = video_of[batch]
+            touched = np.flatnonzero(np.bincount(batch_videos))
+            loss, total = 0.0, None
+            for vi in touched:
+                idx = np.sort(frame_of[batch[batch_videos == vi]])
+                part, grads = video_loss(int(vi), idx, 1.0 / len(touched))
+                loss += part
+                if total is None:
+                    total = grads
+                else:
+                    for acc, g in zip(total, grads):
+                        if acc is not None:
+                            acc[0] += g[0]
+                            acc[1] += g[1]
+            loss = optim.add_l2(layers, total, loss, config.l2_weight)
+            opt.step(layers, total, mask, [1.0] * len(layers))
+            batch_losses.append(loss)
+        yield float(np.mean(batch_losses))
 
 
 def make_video(vid="v0", n_frames=20, n_features=4, seed=0, period=1.0, phases=None):

@@ -40,6 +40,7 @@ from conftest import (
     grad_rel_error,
     make_video,
     peak_bytes,
+    per_video_epochs,
     whole_array_trunk,
 )
 
@@ -297,29 +298,37 @@ class TestWholeVideoBlocks:
 
     @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
     def test_frozen_trunk(self, n_frames):
+        # the video sits behind another one in the frozen cache
         params, video = self._setup(n_frames, 0.9)
         embed = params.layers[:-1]
         want = whole_array_trunk(embed, 0.9, video.features)
-        trunk = _trunk_source(embed, [False, False], 0.9, [video])
-        back, *got = trunk(0, np.arange(n_frames))
+        before = make_video(n_frames=9, n_features=4, seed=1)
+        seen = []
+        blocks, batch_loss = _trunk_source(
+            embed, [False, False], 0.9, [before, video],
+            lambda trunk, rows, weight: seen.append((trunk, rows, weight)) or (0.0, []),
+        )
+        batch_loss(9 + np.arange(n_frames))
+        [((back, *got), rows, weight)] = seen
         assert back is None
-        blocks = list(trunk(0))
-        assert [start for start, _, _ in blocks] == list(range(0, n_frames, B))
+        np.testing.assert_array_equal(weight, np.full(n_frames, 1.0 / n_frames))
+        got_blocks = list(blocks(1))
+        assert [start for start, _, _ in got_blocks] == list(range(0, n_frames, B))
         for i in range(2):
             assert_block_close(got[i], want[i], n_frames)
-            np.testing.assert_array_equal(np.concatenate([b[1 + i] for b in blocks]), got[i])
+            np.testing.assert_array_equal(np.concatenate([b[1 + i] for b in got_blocks]), got[i])
 
     @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
     def test_live_trunk_blocks(self, n_frames):
         params, video = self._setup(n_frames, 0.9)
         embed = params.layers[:-1]
         want = whole_array_trunk(embed, 0.9, video.features)
-        trunk = _trunk_source(embed, [True, True], 0.9, [video])
+        blocks, _ = _trunk_source(embed, [True, True], 0.9, [video], None)
         # a block is valid until the next one: copy each as it comes
-        blocks = [(start, emb.copy(), ctx.copy()) for start, emb, ctx in trunk(0)]
-        assert [start for start, _, _ in blocks] == list(range(0, n_frames, B))
+        got = [(start, emb.copy(), ctx.copy()) for start, emb, ctx in blocks(0)]
+        assert [start for start, _, _ in got] == list(range(0, n_frames, B))
         for i in range(2):
-            assert_block_close(np.concatenate([b[1 + i] for b in blocks]), want[i], n_frames)
+            assert_block_close(np.concatenate([b[1 + i] for b in got]), want[i], n_frames)
 
     def test_forward_memory_is_blocks_not_frames(self):
         # a whole-array pass holds several (frames, 2h) arrays at once; the
@@ -471,11 +480,45 @@ class TestFrozenEmbedding:
         want_loss, want = cross_entropy_loss_and_grads(
             params, video.features, labels, idx, weight=0.4
         )
-        trunk = _trunk_source(
-            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [video]
-        )
         sel = np.arange(n_frames) if idx is None else idx
-        got_loss, got = _cross_entropy(params, trunk(0, sel), labels[sel], 0.4)
+        _, batch_loss = _trunk_source(
+            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [video],
+            lambda trunk, rows, weight: _cross_entropy(params, trunk, labels[rows], 0.4 * weight),
+        )
+        got_loss, got = batch_loss(sel)
+        assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+        assert got[:2] == want[:2] == [None, None]
+        assert grad_rel_error(got[2:], want[2:]) <= 1e-14
+
+    def test_one_pass_batch_matches_per_video_path(self):
+        # a batch over videos of one block and of several, one video
+        # untouched: the one head pass over the gathered rows against one
+        # cross_entropy_loss_and_grads call per touched video, weight 1/touched
+        params, _, _ = self._setup(2, [False, False, True])
+        rng = np.random.default_rng(1)
+        videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
+                  for i, n in enumerate((181, 2, 1800, 40))]
+        labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
+        starts = np.cumsum([0, *(v.n_frames for v in videos)])
+        picked = [np.sort(rng.choice(v.n_frames, size=k, replace=False))
+                  for v, k in zip(videos, (50, 0, 300, 40))]
+        rows = np.concatenate([at + start for at, start in zip(picked, starts)])
+
+        want_loss, want = 0.0, None
+        for vi in (0, 2, 3):
+            part, grads = cross_entropy_loss_and_grads(
+                params, videos[vi].features, labels[vi], picked[vi], weight=1.0 / 3,
+            )
+            want_loss += part
+            want = grads if want is None else [
+                None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
+            ]
+        stacked = np.concatenate(labels)
+        _, batch_loss = _trunk_source(
+            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
+            lambda trunk, rows, weight: _cross_entropy(params, trunk, stacked[rows], weight),
+        )
+        got_loss, got = batch_loss(rows)
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
         assert got[:2] == want[:2] == [None, None]
         assert grad_rel_error(got[2:], want[2:]) <= 1e-14
@@ -664,6 +707,34 @@ class TestCoherenceKernel:
             temporal_coherence_loss_and_grads(params, feats, np.array([[0, 31]]))
 
 
+class TestCoherenceActivePairs:
+    """The TC step scatters only the pairs inside the margin, and checks every
+    pair's bounds itself."""
+
+    @pytest.mark.parametrize("margin", [1e-9, 1e9])
+    def test_no_pair_or_every_pair_inside_the_margin_equals_reference(self, margin):
+        params, feats, pairs = TestCoherenceKernel._case(180, True, [32])
+        want_loss, want = _reference_tc(params, feats, pairs, margin)
+        loss, grads = temporal_coherence_loss_and_grads(params, feats, pairs, margin)
+        assert loss == want_loss
+        _assert_grads_equal(grads, want)
+
+    @pytest.mark.parametrize("pair", [[0, 31], [40, 3], [-32, 5]])
+    def test_pair_outside_video_raises_outside_the_margin(self, pair):
+        # at a tiny margin no pair is active, so none is scattered; the
+        # pair's bounds are checked all the same
+        params, feats, _ = TestCoherenceKernel._case(31, False, [32])
+        with pytest.raises(IndexError):
+            temporal_coherence_loss_and_grads(params, feats, np.array([pair]), margin=1e-9)
+
+    def test_negative_pair_rows_count_from_the_end(self):
+        params, feats, pairs = TestCoherenceKernel._case(31, True, [32])
+        want = temporal_coherence_loss_and_grads(params, feats, pairs)
+        got = temporal_coherence_loss_and_grads(params, feats, pairs - 31)
+        assert got[0] == want[0]
+        _assert_grads_equal(got[1], want[1])
+
+
 class TestSampleDistantPairs:
     def test_empty_when_too_short(self):
         rng = np.random.default_rng(0)
@@ -788,6 +859,33 @@ class TestTrainAppearance:
                 mean_grad = 0.5 * (per_video[0][i][part] + per_video[1][i][part])
                 np.testing.assert_allclose(got, before - cfg.learning_rate * mean_grad,
                                            rtol=1e-12, atol=1e-14)
+
+    def test_live_layers_equal_the_per_video_loop(self):
+        # live layers keep one loss call per touched video: the weights equal
+        # the old loop's to the last bit
+        videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
+                  for i, n in enumerate((18, 70, 31))]
+        labels = {v.id: np.arange(v.n_frames) * 3 // v.n_frames for v in videos}
+        params = init_appearance(np.random.default_rng(0), 3, [4, 5], 3)
+        params.trainable_mask = [False, True, True]
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
+        out = train_appearance(videos, labels, params, cfg)
+
+        want = params.copy()
+
+        def video_loss(vi, idx, weight):
+            video = videos[vi]
+            return cross_entropy_loss_and_grads(want, video.features, labels[video.id],
+                                                idx, weight)
+
+        for _ in per_video_epochs(want.layers, want.trainable_mask,
+                                  [v.n_frames for v in videos], cfg,
+                                  np.random.default_rng(cfg.seed), video_loss):
+            pass
+        for got, ref in zip(out.layers, want.layers):
+            np.testing.assert_array_equal(got.weights, ref.weights)
+            np.testing.assert_array_equal(got.bias, ref.bias)
+        assert not np.array_equal(out.layers[1].weights, params.layers[1].weights)
 
     def test_non_finite_loss_raises(self):
         # SGD with learning_rate * l2_weight = 1000 multiplies the weights by

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from segrsd.appearance import DenseLayer, TrainConfig
+from segrsd.appearance import DenseLayer, TrainConfig, _trunk_source
 from segrsd.errors import NumericalError
 from segrsd.optim import add_l2, minibatch_epochs
 
-from conftest import finite_difference_grads, grad_rel_error
+from conftest import finite_difference_grads, grad_rel_error, make_video
 
 
 def _layers():
@@ -13,19 +13,23 @@ def _layers():
 
 
 class TestMinibatchEpochs:
-    def _run(self, n_frames, batch_size, epochs=2, part_loss=1.0):
-        """Returns the yielded losses and, per epoch, the (video, idx, weight) calls."""
+    N_FRAMES = [5, 7, 3]
+
+    def _run(self, n_frames, batch_size, epochs=2, batch_loss=None, part_loss=1.0):
+        """Returns the yielded losses and, per epoch, the rows of each call."""
         layers = _layers()
         calls = []
 
-        def loss_and_grads(vi, idx, weight):
-            calls[-1].append((vi, idx.copy(), weight))
-            return weight * part_loss, [[np.zeros((2, 3)), np.zeros(2)]]
+        def record(rows):
+            calls[-1].append(rows.copy())
+            if batch_loss is not None:
+                return batch_loss(rows)
+            return part_loss, [[np.zeros((2, 3)), np.zeros(2)]]
 
         cfg = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=batch_size,
                           l2_weight=0.0, optimizer="sgd", seed=4)
         epochs_iter = minibatch_epochs(layers, [True], n_frames, cfg,
-                                       np.random.default_rng(cfg.seed), loss_and_grads)
+                                       np.random.default_rng(cfg.seed), record)
         losses = []
         while True:
             calls.append([])
@@ -36,33 +40,64 @@ class TestMinibatchEpochs:
                 return losses, calls
 
     def test_each_frame_once_per_epoch_grouped_by_video(self):
-        n_frames = [5, 7, 3]
-        losses, calls = self._run(n_frames, batch_size=4, epochs=2)
+        starts = np.cumsum([0, *self.N_FRAMES])
+        losses, calls = self._run(starts[-1], batch_size=4, epochs=2)
         assert len(losses) == len(calls) == 2
         for epoch_calls in calls:
             seen = {vi: [] for vi in range(3)}
-            for vi, idx, _ in epoch_calls:
-                assert list(idx) == sorted(idx)
-                seen[vi].extend(idx.tolist())
+            for rows in epoch_calls:
+                # sorted rows of the stack hold each video's frames together, in order
+                assert list(rows) == sorted(rows)
+                videos = np.searchsorted(starts, rows, side="right") - 1
+                for vi in range(3):
+                    seen[vi].extend((rows[videos == vi] - starts[vi]).tolist())
             assert {vi: sorted(t) for vi, t in seen.items()} == {
-                vi: list(range(n)) for vi, n in enumerate(n_frames)
+                vi: list(range(n)) for vi, n in enumerate(self.N_FRAMES)
             }
 
     def test_touched_videos_share_the_batch_equally(self):
-        _, calls = self._run([5, 7, 3], batch_size=4, epochs=1)
-        sizes, i = [], 0
-        while i < len(calls[0]):
-            n = round(1.0 / calls[0][i][2])
-            batch = calls[0][i:i + n]
-            assert [w for _, _, w in batch] == [1.0 / n] * n
-            touched = [vi for vi, _, _ in batch]
-            assert touched == sorted(set(touched))
-            sizes.append(sum(len(idx) for _, idx, _ in batch))
-            i += n
-        assert sizes == [4, 4, 4, 3]
+        # the trainers' batch loss: live layers make one call per touched
+        # video, in increasing order, with weight 1/touched; a frozen
+        # embedding makes one call with per-row weights (1/touched)/n_v
+        videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
+                  for i, n in enumerate(self.N_FRAMES)]
+        starts = np.cumsum([0, *self.N_FRAMES])
+        for frozen in (False, True):
+            heads = []
+
+            def head_loss(trunk, rows, weight):
+                heads[-1].append((rows.copy(), weight))
+                return 0.0, [[np.zeros((2, 3)), np.zeros(2)]]
+
+            _, trunk_batch_loss = _trunk_source(
+                [DenseLayer(np.ones((2, 3)), np.zeros(2))], [not frozen], 0.9, videos, head_loss,
+            )
+
+            def batch_loss(rows):
+                heads.append([])
+                return trunk_batch_loss(rows)
+
+            _, calls = self._run(starts[-1], batch_size=4, epochs=1, batch_loss=batch_loss)
+            assert len(heads) == len(calls[0])
+            for rows, batch in zip(calls[0], heads):
+                video_of = np.searchsorted(starts, rows, side="right") - 1
+                touched = sorted(set(video_of.tolist()))
+                if frozen:
+                    [(got_rows, weight)] = batch
+                    np.testing.assert_array_equal(got_rows, rows)
+                    for vi in touched:
+                        share = weight[video_of == vi]
+                        assert (share == 1.0 / len(touched) / len(share)).all()
+                else:
+                    assert [w for _, w in batch] == [1.0 / len(touched)] * len(touched)
+                    owners = [set((np.searchsorted(starts, r, side="right") - 1).tolist())
+                              for r, _ in batch]
+                    assert owners == [{vi} for vi in touched]
+                    np.testing.assert_array_equal(np.concatenate([r for r, _ in batch]), rows)
+            assert [len(rows) for rows in calls[0]] == [4, 4, 4, 3]
 
     def test_yields_mean_batch_loss(self):
-        losses, _ = self._run([5, 7, 3], batch_size=4, part_loss=2.5)
+        losses, _ = self._run(15, batch_size=4, part_loss=2.5)
         assert losses == [pytest.approx(2.5)] * 2
 
     def test_non_finite_batch_loss_raises_before_the_step(self):
@@ -70,27 +105,27 @@ class TestMinibatchEpochs:
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4,
                           l2_weight=0.0, optimizer="sgd", seed=0)
 
-        def loss_and_grads(vi, idx, weight):
+        def batch_loss(rows):
             return float("nan"), [[np.ones((2, 3)), np.ones(2)]]
 
         with pytest.raises(NumericalError):
-            list(minibatch_epochs(layers, [True], [6], cfg, np.random.default_rng(0),
-                                  loss_and_grads))
+            list(minibatch_epochs(layers, [True], 6, cfg, np.random.default_rng(0),
+                                  batch_loss))
         np.testing.assert_array_equal(layers[0].weights, np.ones((2, 3)))
 
     def test_frozen_layer_without_gradient(self):
         # a frozen layer's gradient is None in every call; it is left out of
-        # the sum and the step, and its L2 term still counts in the loss
+        # the step, and its L2 term still counts in the loss
         layers = [DenseLayer(np.ones((2, 3)), np.zeros(2)),
                   DenseLayer(2.0 * np.ones((2, 3)), np.zeros(2))]
 
-        def loss_and_grads(vi, idx, weight):
+        def batch_loss(rows):
             return 0.0, [None, [np.zeros((2, 3)), np.zeros(2)]]
 
         cfg = TrainConfig(learning_rate=0.0, epochs=1, batch_size=4,
                           l2_weight=0.5, optimizer="adam", seed=0)
-        [loss] = minibatch_epochs(layers, [False, True], [3, 5], cfg,
-                                  np.random.default_rng(0), loss_and_grads)
+        [loss] = minibatch_epochs(layers, [False, True], 8, cfg,
+                                  np.random.default_rng(0), batch_loss)
         assert loss == 0.25 * (6.0 + 24.0)
         np.testing.assert_array_equal(layers[0].weights, np.ones((2, 3)))
 

@@ -38,6 +38,7 @@ from conftest import (
     grad_rel_error,
     make_video,
     peak_bytes,
+    per_video_epochs,
     whole_array_trunk,
 )
 
@@ -540,6 +541,22 @@ class TestSelectedRows:
         assert scans == [181]
 
 
+def _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind, scale=1.0):
+    """A head loss for _trunk_source over videos, as train_rsd builds it, with
+    aux_weight 0.7 and every weight times scale."""
+    elapsed = np.concatenate([v.elapsed_min() for v in videos])
+    remaining = np.concatenate([v.remaining_min() for v in videos])
+    aux = None if aux_targets[0] is None else np.concatenate(aux_targets)
+
+    def head_loss(trunk, rows, weight):
+        return rsd._rsd_loss(
+            params, trunk, elapsed[rows], remaining[rows], None if aux is None else aux[rows],
+            scale * weight, loss, CORR, 0.7, target_kind,
+        )
+
+    return head_loss
+
+
 class TestFrozenEmbedding:
     """A frozen embedding gets no gradient; feature_extraction embeds it once."""
 
@@ -556,17 +573,55 @@ class TestFrozenEmbedding:
             want_loss, want = TestSelectedRows._call(
                 params, video, loss, aux_target, target_kind, idx
             )
-            trunk = _trunk_source(
-                params.embed, params.trainable_mask[:1], params.context_lambda, [video]
+            _, batch_loss = _trunk_source(
+                params.embed, params.trainable_mask[:1], params.context_lambda, [video],
+                _stacked_rsd_loss(params, [video], [aux_target], loss, target_kind, 0.4),
             )
-            got_loss, got = rsd._rsd_loss(
-                params, video, sel, trunk(0, sel), loss, CORR,
-                aux_target, 0.7, 0.4, target_kind,
-            )
+            got_loss, got = batch_loss(sel)
             case = (loss, aux_kind, target_kind)
             assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
             assert got[0] is None and want[0] is None, case
             assert grad_rel_error(got[1:], want[1:]) <= 1e-14, case
+
+    @pytest.mark.parametrize("case", TestSelectedRows.CASES)
+    def test_one_pass_batch_matches_per_video_path(self, case):
+        # a batch over videos of one block and of several, one video
+        # untouched: the one head pass over the gathered rows against one
+        # rsd_loss_and_grads call per touched video with weight 1/touched
+        loss, aux_kind, target_kind = case
+        setups = [TestSelectedRows._setup(n_frames, aux_kind, target_kind, seed)
+                  for seed, n_frames in enumerate((181, 2, 1800, 40))]
+        params = setups[0][0]
+        videos = [video for _, video, _ in setups]
+        aux_targets = [aux for _, _, aux in setups]
+        params.trainable_mask[0] = False
+        starts = np.cumsum([0, *(v.n_frames for v in videos)])
+        rng = np.random.default_rng(len(loss + aux_kind + target_kind))
+        picked = [np.sort(rng.choice(v.n_frames, size=k, replace=False))
+                  for v, k in zip(videos, (50, 0, 300, 40))]
+        rows = np.concatenate([at + start for at, start in zip(picked, starts)])
+
+        want_loss, want = 0.0, None
+        touched = [vi for vi, at in enumerate(picked) if len(at)]
+        for vi in touched:
+            part, grads = rsd_loss_and_grads(
+                params, videos[vi], loss, CORR, frame_indices=picked[vi],
+                aux_target=aux_targets[vi], aux_weight=0.7, weight=1.0 / len(touched),
+                target_kind=target_kind,
+            )
+            want_loss += part
+            want = grads if want is None else [
+                None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
+            ]
+        _, batch_loss = _trunk_source(
+            params.embed, params.trainable_mask[:1], params.context_lambda, videos,
+            _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind),
+        )
+        got_loss, got = batch_loss(rows)
+        assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
+        assert got[0] is None and want[0] is None, case
+        for g, w in zip(got[1:], want[1:]):
+            assert grad_rel_error([g], [w]) <= 1e-14, case
 
     def test_feature_extraction_keeps_embedding_and_makes_no_adam_state(self, monkeypatch):
         made = []
@@ -802,6 +857,35 @@ class TestTrainRsd:
         assert ha == hb
         for la, lb in zip(a.layer_list(), b.layer_list()):
             np.testing.assert_array_equal(la.weights, lb.weights)
+
+    def test_single_task_equals_the_per_video_loop(self):
+        # live layers keep one loss call per touched video: history and
+        # best-val weights equal the old loop's to the last bit
+        corpus = _rsd_corpus()
+        corr = CorridorParams.from_corpus(corpus)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=4, batch_size=64, seed=3)
+        got, got_hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
+                                  "corr", cfg, corr, verbose=False)
+
+        rng = np.random.default_rng(cfg.seed)
+        params = init_rsd(rng, corpus.feature_dim, hidden_dim=32, output_scale=corr.scale)
+        train, val = corpus.by_split("train"), corpus.by_split("val")
+
+        def video_loss(vi, idx, weight):
+            return rsd_loss_and_grads(params, train[vi], "corr", corr, idx, weight=weight)
+
+        want, want_hist = None, []
+        for epoch, loss in enumerate(per_video_epochs(
+            params.layer_list(), params.trainable_mask, [v.n_frames for v in train], cfg,
+            rng, video_loss,
+        )):
+            want_hist.append((epoch, loss, mae_of(params, val)))
+            if want is None or want_hist[-1][2] < min(h[2] for h in want_hist[:-1]):
+                want = params.copy()
+        assert got_hist == want_hist
+        for g, w in zip(got.layer_list(), want.layer_list()):
+            np.testing.assert_array_equal(g.weights, w.weights)
+            np.testing.assert_array_equal(g.bias, w.bias)
 
     def test_progress_history_scores_progress(self, monkeypatch):
         # a progress model's val_mae is its MAE against prog(t), per epoch

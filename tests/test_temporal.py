@@ -89,6 +89,45 @@ class TestMallowsLogProb:
 
 
 class TestMallowsSample:
+    @staticmethod
+    def _per_slot_draw(model, rng):
+        """The sampler before the CDF table: each slot's CDF built afresh."""
+        k = model.n_subactivities
+        v = np.zeros(k - 1, dtype=np.int64)
+        for i in range(k - 1):
+            cdf = np.cumsum(np.exp(-float(model.rho[i]) * np.arange(k - i)))
+            cdf /= cdf[-1]
+            v[i] = int(np.searchsorted(cdf, rng.random(), side="right"))
+        return v
+
+    def test_draws_equal_the_per_slot_sampler(self):
+        # the same uniforms and the same CDFs, so the same draws, down to the
+        # generator state after them
+        gen = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(gen.integers(1, 17))
+            # some all-zero and some near-degenerate dispersions among them
+            rho = gen.uniform(0.0, 3.0, size=k - 1) * (gen.random() < 0.9)
+            rho += 60.0 * (gen.random() < 0.1)
+            model = MallowsModel(k, rho)
+            seed = int(gen.integers(2 ** 31))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                got = mallows_sample(model, a)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, self._per_slot_draw(model, b))
+            assert a.random() == b.random()
+
+    def test_model_is_immutable(self):
+        rho = np.array([0.5, 1.0])
+        model = MallowsModel(3, rho)
+        rho[0] = 9.0  # the model holds its own copy
+        assert model.rho.tolist() == [0.5, 1.0]
+        with pytest.raises(ValueError):
+            model.rho[0] = 2.0
+        with pytest.raises(AttributeError):
+            model.rho = np.zeros(2)
+
     def test_uniform_slot_means(self):
         m = MallowsModel.with_constant_rho(4, 0.0)
         rng = np.random.default_rng(1)
