@@ -31,6 +31,7 @@ from .errors import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, DataFormatErro
 from .evaluation import corpus_label_accuracy, format_csv, format_table, mae_minutes, summarize
 from .rsd import (
     AUX_TASKS,
+    LOSSES,
     AuxInit,
     CorridorParams,
     PipelineMode,
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--pipeline", choices=sorted(PIPELINE_FLAG), required=True)
     p.add_argument("--aux", choices=sorted(AUX_FLAG), default="none")
-    p.add_argument("--loss", choices=("smoothl1", "corr"), default="smoothl1")
+    p.add_argument("--loss", choices=LOSSES, default="smoothl1")
     p.add_argument("--checkpoint",
                    help="segmentation checkpoint, --aux seg only (and required there)")
     p.add_argument("--epochs", type=_non_negative_int, default=None,
@@ -226,17 +227,15 @@ def _naive_mae(videos, corridor) -> float:
     return mae_minutes({v.id: naive_prediction(v.elapsed_min(), corridor) for v in videos}, videos)
 
 
-def _prepare_init(args, corpus, pipeline, aux, corridor, epochs):
-    if aux == "none":
-        return None
-    if aux == "learned_seg":
+def _prepare_init(args, corpus, mode, corridor, epochs):
+    if mode.aux_task == "learned_seg":
         if not args.checkpoint:
             raise DataFormatError("--aux seg needs --checkpoint")
         ckpt = load_seg_checkpoint(args.checkpoint, expect_feature_dim=corpus.feature_dim)
         return AuxInit.from_checkpoint(ckpt)
-    if pipeline == "regularization":
-        return None  # joint training resolves its own targets
-    return _aux_source(args, corpus, aux, corridor, epochs)
+    if not mode.transfers:
+        return None  # single task, or joint training resolving its own targets
+    return _aux_source(args, corpus, mode.aux_task, corridor, epochs)
 
 
 def _cmd_train_rsd(args) -> int:
@@ -246,18 +245,15 @@ def _cmd_train_rsd(args) -> int:
         raise ValueError("--k applies to --aux uniform only")
     if args.checkpoint is not None and args.aux != "seg":
         raise ValueError("--checkpoint applies to --aux seg only")
+    mode = PipelineMode(PIPELINE_FLAG[args.pipeline], AUX_FLAG[args.aux])
     if args.k is None:
         args.k = 10
     corpus = load_corpus(args.corpus)
-    pipeline = PIPELINE_FLAG[args.pipeline]
-    aux = AUX_FLAG[args.aux]
-    mode = PipelineMode(pipeline, aux)
     corridor = CorridorParams.from_corpus(corpus)
-    config = default_train_config(pipeline, seed=args.seed)
+    config = default_train_config(mode.pipeline, seed=args.seed)
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
-    init = _prepare_init(args, corpus, pipeline, aux, corridor,
-                         epochs=max(config.epochs, 1))
+    init = _prepare_init(args, corpus, mode, corridor, epochs=max(config.epochs, 1))
     params, history = train_rsd(
         corpus, init, mode, args.loss, config, corridor,
         hidden_dim=args.hidden,
@@ -272,7 +268,7 @@ def _cmd_train_rsd(args) -> int:
     name = f"rsd_{args.pipeline}_{args.aux}_{args.loss}.ckpt"
     save_rsd_checkpoint(
         params, out / name,
-        meta_extra={"pipeline": pipeline, "aux": aux, "loss": args.loss,
+        meta_extra={"pipeline": mode.pipeline, "aux": mode.aux_task, "loss": args.loss,
                     "seed": args.seed},
     )
     lines = [f"epoch={e} loss={l:.6f} val_mae={m:.6f}" for e, l, m in history]
@@ -332,7 +328,7 @@ def _cmd_baselines(args) -> int:
     corpus = load_corpus(args.corpus)
     corridor = CorridorParams.from_corpus(corpus)
     test = corpus.by_split("test")
-    aux_rows = ("none", "uniform", "progress", "phase")
+    aux_rows = [a for a in AUX_TASKS if a != "learned_seg"]
     pipelines = tuple(PIPELINE_FLAG.values())
     inits: dict[tuple[str, int], AuxInit] = {}
 
@@ -342,7 +338,7 @@ def _cmd_baselines(args) -> int:
         return inits[aux, repeat]
 
     reports = {}
-    for loss in ("smoothl1", "corr"):
+    for loss in LOSSES:
         cells: dict[tuple[str, str], str] = {}
         for aux in aux_rows:
             for pipeline in pipelines:
@@ -352,10 +348,7 @@ def _cmd_baselines(args) -> int:
                 for r in range(args.repeats):
                     seed = derive_seed(args.seed, "cell", aux, pipeline, loss, r)
                     mode = PipelineMode(pipeline, aux)
-                    if pipeline in ("feature_extraction", "pretraining"):
-                        init = init_for(aux, r)
-                    else:
-                        init = None
+                    init = init_for(aux, r) if mode.transfers else None
                     config = dataclasses.replace(
                         default_train_config(pipeline, seed=seed), epochs=args.epochs
                     )
@@ -372,20 +365,18 @@ def _cmd_baselines(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chunks = []
-    for loss in ("smoothl1", "corr"):
+    for loss in LOSSES:
         chunks.append(f"loss={loss}")
-        chunks.append(format_table(list(aux_rows), list(pipelines), reports[loss]))
+        chunks.append(format_table(aux_rows, pipelines, reports[loss]))
     chunks.append(f"naive_mae={naive_mae:.4f}\n")
     text = "\n".join(chunks)
     (out / "baselines_report.txt").write_text(text)
     csv_cells = {}
-    for loss in ("smoothl1", "corr"):
+    for loss in LOSSES:
         for (aux, pipeline), val in reports[loss].items():
             csv_cells[(aux, f"{pipeline}.{loss}")] = val.replace(",", ";")
-    csv_cols = [f"{p}.{l}" for p in pipelines for l in ("smoothl1", "corr")]
-    (out / "baselines_report.csv").write_text(
-        format_csv(list(aux_rows), csv_cols, csv_cells)
-    )
+    csv_cols = [f"{p}.{l}" for p in pipelines for l in LOSSES]
+    (out / "baselines_report.csv").write_text(format_csv(aux_rows, csv_cols, csv_cells))
     print(text, end="")
     return EXIT_OK
 

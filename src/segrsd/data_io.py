@@ -55,11 +55,14 @@ _KIND_RSD = 2
 
 @contextmanager
 def _data_errors(path):
-    """Re-raise a ValueError from the validation inside as a DataFormatError naming path."""
+    """Re-raise a ValueError from the validation inside, or the KeyError of a
+    missing metadata key or array, as a DataFormatError naming path."""
     try:
         yield
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing {exc}") from exc
 
 
 def save_video(video: VideoSequence, path) -> None:
@@ -386,30 +389,30 @@ def save_seg_checkpoint(ckpt: SegCheckpoint, path) -> None:
 def load_seg_checkpoint(path, expect_feature_dim: int | None = None,
                         expect_k: int | None = None) -> SegCheckpoint:
     _, meta, arrays = _read_container(path, _KIND_SEG)
-    layers = _unpack_layers("layer", meta["n_layers"], arrays)
-    app = AppearanceParams(
-        layers, [bool(b) for b in meta["trainable_mask"]], meta["context_lambda"]
-    )
-    if expect_feature_dim is not None and app.feature_dim != expect_feature_dim:
-        raise ShapeMismatchError(
-            f"checkpoint expects {app.feature_dim}-dim features, corpus has {expect_feature_dim}"
+    with _data_errors(path):
+        layers = _unpack_layers("layer", meta["n_layers"], arrays)
+        app = AppearanceParams(
+            layers, [bool(b) for b in meta["trainable_mask"]], meta["context_lambda"]
         )
-    k = meta["n_subactivities"]
-    if expect_k is not None and k != expect_k:
-        raise ShapeMismatchError(f"checkpoint has {k} subactivities, expected {expect_k}")
-    if app.n_classes != k:
-        raise ShapeMismatchError("classifier width disagrees with subactivity count")
-    mallows = MallowsModel(k, arrays["rho"], meta["nu0"], meta["r0"])
-    lengths = LengthModel(k, arrays["theta"], meta["alpha0"])
-    labels = {vid: arrays[f"labels.{vid}"] for vid in meta["video_ids"]}
-    return SegCheckpoint(
-        iteration=meta["iteration"],
-        appearance=app,
-        mallows=mallows,
-        lengths=lengths,
-        labels=labels,
-        tc_score=meta["tc_score"],
-    )
+        if expect_feature_dim is not None and app.feature_dim != expect_feature_dim:
+            raise ShapeMismatchError(f"{path}: expects {app.feature_dim}-dim features, "
+                                     f"corpus has {expect_feature_dim}")
+        k = meta["n_subactivities"]
+        if expect_k is not None and k != expect_k:
+            raise ShapeMismatchError(f"{path}: has {k} subactivities, expected {expect_k}")
+        if app.n_classes != k:
+            raise ShapeMismatchError(f"{path}: classifier width disagrees with subactivity count")
+        mallows = MallowsModel(k, arrays["rho"], meta["nu0"], meta["r0"])
+        lengths = LengthModel(k, arrays["theta"], meta["alpha0"])
+        labels = {vid: arrays[f"labels.{vid}"] for vid in meta["video_ids"]}
+        return SegCheckpoint(
+            iteration=meta["iteration"],
+            appearance=app,
+            mallows=mallows,
+            lengths=lengths,
+            labels=labels,
+            tc_score=meta["tc_score"],
+        )
 
 
 def save_rsd_checkpoint(params: RsdParams, path, meta_extra: dict | None = None) -> None:
@@ -437,16 +440,16 @@ def save_rsd_checkpoint(params: RsdParams, path, meta_extra: dict | None = None)
 def load_rsd_checkpoint(path, expect_feature_dim: int | None = None):
     """Returns (params, meta); meta keeps any extra strings saved alongside."""
     _, meta, arrays = _read_container(path, _KIND_RSD)
-    embed = _unpack_layers("embed", meta["n_embed"], arrays)
-    head1 = _unpack_layers("head1_", 1, arrays)[0]
-    head2 = _unpack_layers("head2_", 1, arrays)[0]
-    aux = _unpack_layers("aux_", 1, arrays)[0] if meta["aux_kind"] != "none" else None
-    params = RsdParams(
-        embed, meta["context_lambda"], head1, head2, aux, meta["aux_kind"],
-        [bool(b) for b in meta["trainable_mask"]], meta["output_scale"],
-    )
-    if expect_feature_dim is not None and embed[0].in_dim != expect_feature_dim:
-        raise ShapeMismatchError(
-            f"checkpoint expects {embed[0].in_dim}-dim features, corpus has {expect_feature_dim}"
+    with _data_errors(path):
+        embed = _unpack_layers("embed", meta["n_embed"], arrays)
+        head1 = _unpack_layers("head1_", 1, arrays)[0]
+        head2 = _unpack_layers("head2_", 1, arrays)[0]
+        aux = _unpack_layers("aux_", 1, arrays)[0] if meta["aux_kind"] != "none" else None
+        params = RsdParams(
+            embed, meta["context_lambda"], head1, head2, aux, meta["aux_kind"],
+            [bool(b) for b in meta["trainable_mask"]], meta["output_scale"],
         )
-    return params, meta
+        if expect_feature_dim is not None and embed[0].in_dim != expect_feature_dim:
+            raise ShapeMismatchError(f"{path}: expects {embed[0].in_dim}-dim features, "
+                                     f"corpus has {expect_feature_dim}")
+        return params, meta

@@ -1,9 +1,11 @@
 """Remaining-duration regression with corridor-weighted robust losses.
 
 The regressor reuses the appearance embedding and causal context; the head
-maps [embedding, context, elapsed minutes] through one tanh layer to a
-scaled duration output (scale 0.05 by default). Training losses compare
-scaled values:
+maps [embedding, context, elapsed minutes] through one tanh layer to an
+output in the model's own units: output_scale times its target. The target
+is the remaining minutes (output_scale 0.05 by default), or for the
+self-supervised progress source prog(t) below (output_scale 1). Training
+losses compare outputs with targets in those units:
 
     smooth_l1(x) = 0.5 x^2 / beta        for |x| < beta,
                    |x| - 0.5 beta        otherwise,
@@ -17,10 +19,11 @@ median-based guess n(t) = max(t_median - t, 0):
     c(t)     = alpha * gt + (1 - alpha) * n(t)
     pi(y, t) = ((y - gt) / (c - gt))^2 inside the corridor, else 1.
 
-pi is computed on minute values (it is scale-invariant) and carries no
-gradient. Four pipelines consume an upstream segmentation result: frozen
-feature extraction, low-rate pretraining transfer, joint training with an
-auxiliary head (regularization), and a from-scratch single-task baseline.
+pi is computed on minute values (it is scale-invariant), carries no
+gradient and weighs the remaining-minutes target only. Four pipelines
+consume an upstream segmentation result: frozen feature extraction,
+low-rate pretraining transfer, joint training with an auxiliary head
+(regularization), and a from-scratch single-task baseline.
 """
 from __future__ import annotations
 
@@ -57,6 +60,11 @@ logger = logging.getLogger("segrsd")
 PIPELINES = ("feature_extraction", "pretraining", "regularization", "single_task")
 AUX_TASKS = ("none", "learned_seg", "uniform", "progress", "phase")
 LOSSES = ("smoothl1", "corr")
+# the per-video target of each target kind, which the loss and the val MAE read
+TARGETS = {
+    "duration": VideoSequence.remaining_min,
+    "progress": lambda video: progress(video.elapsed_min(), video.remaining_min()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +119,6 @@ class CorridorParams:
         # without the numpy.ma import np.median makes on first use
         middle = durations[(n - 1) // 2:n // 2 + 1]
         return cls(float(middle.sum() / len(middle)))
-
-
-def _progress_of(video: VideoSequence) -> np.ndarray:
-    return progress(video.elapsed_min(), video.remaining_min())
 
 
 def naive_prediction(t_elapsed, params: CorridorParams):
@@ -178,6 +182,11 @@ class PipelineMode:
             raise ValueError("single_task takes no auxiliary task")
         if self.pipeline != "single_task" and self.aux_task == "none":
             raise ValueError(f"{self.pipeline} needs an auxiliary task as its source")
+
+    @property
+    def transfers(self) -> bool:
+        """Whether the pipeline starts from an upstream embedding."""
+        return self.pipeline in ("feature_extraction", "pretraining")
 
 
 @dataclass
@@ -321,45 +330,59 @@ def rsd_loss_and_grads(
 ):
     """Per-video losses (mean over selected frames) with analytic gradients.
 
-    target_kind "duration" regresses scaled remaining minutes; "progress"
-    regresses prog(t) directly (used to pretrain transfer embeddings).
-    frame_indices are sorted distinct frames (default: every frame). The
-    embedding runs through the last selected frame, the context and the
-    heads on the selected rows only. Returns (loss, grads) with grads
-    aligned to params.layer_list(); frozen embedding layers get None.
+    target_kind "duration" regresses remaining minutes, "progress" prog(t)
+    (used to pretrain transfer embeddings), either in the model's units:
+    params.output_scale times the target. frame_indices are sorted distinct
+    frames (default: every frame). The embedding runs through the last
+    selected frame, the context and the heads on the selected rows only.
+    Returns (loss, grads) with grads aligned to params.layer_list(); frozen
+    embedding layers get None.
     """
     idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
-    trunk = _trunk(params.embed, params.context_lambda, video.features, idx)
-    aux = None if aux_target is None else np.asarray(aux_target)[idx]
-    return _rsd_loss(params, trunk, video.elapsed_min()[idx], video.remaining_min()[idx],
-                     aux, weight, loss_name, corridor, aux_weight, target_kind)
+    head_loss = _stacked_loss(params, [video], loss_name, target_kind, corridor,
+                              None if aux_target is None else {video.id: aux_target}, aux_weight)
+    return head_loss(_trunk(params.embed, params.context_lambda, video.features, idx),
+                     idx, weight)
 
 
-def _rsd_loss(params: RsdParams, trunk, elapsed, remaining, aux_target, weight,
-              loss_name, corridor, aux_weight, target_kind):
+def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
+                  aux_targets, aux_weight):
+    """head_loss(trunk, rows, weight) of appearance._trunk_source on videos'
+    frames stacked in order, with the objective fixed here once: the target
+    in the model's units, params.output_scale times TARGETS[target_kind], and
+    for corr the remaining minutes the corridor weight reads."""
+    if loss_name not in LOSSES:
+        raise ValueError(f"unknown loss {loss_name!r}")
+    if target_kind not in TARGETS:
+        raise ValueError(f"unknown target kind {target_kind!r}")
+    corr = loss_name == "corr"
+    if corr and target_kind != "duration":
+        raise ValueError(f"corr: the corridor weighs remaining minutes only, not {target_kind}")
+    elapsed = np.concatenate([v.elapsed_min() for v in videos])
+    target = params.output_scale * np.concatenate([TARGETS[target_kind](v) for v in videos])
+    remaining = np.concatenate([v.remaining_min() for v in videos]) if corr else None
+    aux = None if aux_targets is None else np.concatenate([aux_targets[v.id] for v in videos])
+
+    def head_loss(trunk, rows, weight):
+        return _rsd_loss(params, trunk, elapsed[rows], target[rows],
+                         None if remaining is None else remaining[rows], corridor,
+                         None if aux is None else aux[rows], weight, aux_weight)
+
+    return head_loss
+
+
+def _rsd_loss(params: RsdParams, trunk, elapsed, target, remaining, corridor, aux_target,
+              weight, aux_weight):
     """The heads and losses of rsd_loss_and_grads on trunk = (back, emb, ctx)
-    and the elapsed and remaining minutes and aux targets at the same rows;
-    back may be None when the whole embedding is frozen. A scalar weight
-    weighs the mean over the rows, per-row weights their sum
-    (appearance._weighted)."""
+    and the elapsed minutes, targets, remaining minutes if corridor-weighted
+    and aux targets at the same rows; back may be None when the whole
+    embedding is frozen. A scalar weight weighs the mean over the rows,
+    per-row weights their sum (appearance._weighted)."""
     back, emb, ctx = trunk
     inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
-
-    pi = np.ones(len(elapsed))
-    if target_kind == "duration":
-        target = corridor.scale * remaining
-        if loss_name == "corr":
-            minutes = pred / params.output_scale
-            pi = np.asarray(
-                corridor_weight(minutes, elapsed, remaining, corridor), dtype=np.float64
-            )
-        elif loss_name != "smoothl1":
-            raise ValueError(f"unknown loss {loss_name!r}")
-    elif target_kind == "progress":
-        target = progress(elapsed, remaining)
-    else:
-        raise ValueError(f"unknown target kind {target_kind!r}")
-
+    pi = 1.0
+    if remaining is not None:
+        pi = corridor_weight(pred / params.output_scale, elapsed, remaining, corridor)
     loss, factors = _weighted(weight, pi * smooth_l1(pred, target, corridor.beta))
     dpred = factors * pi * smooth_l1_grad(pred, target, corridor.beta)
 
@@ -403,10 +426,9 @@ def _rsd_loss(params: RsdParams, trunk, elapsed, remaining, aux_target, weight,
 def default_train_config(pipeline: str, seed: int = 0) -> TrainConfig:
     """Adam for most pipelines; the pretraining transfer uses plain SGD longer."""
     if pipeline == "pretraining":
-        return TrainConfig(learning_rate=1e-1, epochs=250, batch_size=384,
-                           l2_weight=1e-5, optimizer="sgd", seed=seed)
-    return TrainConfig(learning_rate=1e-2, epochs=200, batch_size=384,
-                       l2_weight=1e-5, optimizer="adam", seed=seed)
+        return TrainConfig(learning_rate=1e-1, epochs=250, l2_weight=1e-5, optimizer="sgd",
+                           seed=seed)
+    return TrainConfig(l2_weight=1e-5, seed=seed)
 
 
 def _resolve_aux_targets(
@@ -427,16 +449,15 @@ def _resolve_aux_targets(
     elif task == "uniform":
         targets = {v.id: uniform_labels(v, n_subactivities) for v in videos}
     elif task == "progress":
-        return {v.id: _progress_of(v) for v in videos}, "progress", 1
+        return {v.id: TARGETS["progress"](v) for v in videos}, "progress", 1
     else:
         raise ValueError(f"aux task {task!r} has no targets")
     return targets, "classes", int(max(t.max() for t in targets.values())) + 1
 
 
-def mae_of(params: RsdParams, videos: Sequence[VideoSequence],
-           target=VideoSequence.remaining_min) -> float:
-    """Macro-averaged MAE (per-video mean first) of the output against target(video)."""
-    return mae_minutes({v.id: predict_video(params, v) for v in videos}, videos, target)
+def mae_of(params: RsdParams, videos: Sequence[VideoSequence]) -> float:
+    """Macro-averaged MAE (per-video mean first) of the predicted remaining minutes."""
+    return mae_minutes({v.id: predict_video(params, v) for v in videos}, videos)
 
 
 def train_rsd(
@@ -461,10 +482,7 @@ def train_rsd(
     [emb, ctx] is computed once per call, each batch runs the heads once on
     its rows, and every val MAE reads it.
     """
-    if loss_name not in LOSSES:
-        raise ValueError(f"unknown loss {loss_name!r}")
-    transfer = mode.pipeline in ("feature_extraction", "pretraining")
-    if transfer and init is None:
+    if mode.transfers and init is None:
         raise ValueError(f"{mode.pipeline} needs an upstream embedding to transfer")
 
     rng = np.random.default_rng(config.seed)
@@ -477,11 +495,11 @@ def train_rsd(
         rng,
         corpus.feature_dim,
         hidden_dim=hidden_dim,
-        context_lambda=init.context_lambda if transfer else CONTEXT_LAMBDA,
+        context_lambda=init.context_lambda if mode.transfers else CONTEXT_LAMBDA,
         aux_kind=aux_kind,
         aux_dim=aux_dim,
         output_scale=1.0 if target_kind == "progress" else corridor.scale,
-        embed=init.embed if transfer else None,
+        embed=init.embed if mode.transfers else None,
     )
     n_embed = len(params.embed)
     lr_mult = [1.0] * len(params.layer_list())
@@ -501,31 +519,21 @@ def train_rsd(
     best = params.copy()
     best_mae = np.inf
     val_set = val_videos or train_videos
-    val_target = _progress_of if target_kind == "progress" else VideoSequence.remaining_min
     all_videos = [*train_videos, *val_videos]
-    # the train videos' targets, stacked as minibatch_epochs stacks their frames
-    elapsed = np.concatenate([v.elapsed_min() for v in train_videos])
-    remaining = np.concatenate([v.remaining_min() for v in train_videos])
-    aux = np.concatenate([aux_targets[v.id] for v in train_videos]) if aux_targets else None
-
-    def head_loss(trunk, rows, weight):
-        return _rsd_loss(params, trunk, elapsed[rows], remaining[rows],
-                         None if aux is None else aux[rows], weight,
-                         loss_name, corridor, aux_weight, target_kind)
-
     blocks, batch_loss = _trunk_source(
         params.embed, params.trainable_mask[:n_embed], params.context_lambda, all_videos,
-        head_loss,
+        _stacked_loss(params, train_videos, loss_name, target_kind, corridor, aux_targets,
+                      aux_weight),
     )
 
     def val_mae():
         first = len(all_videos) - len(val_set)  # val_set ends all_videos
         preds = {v.id: _minutes(params, blocks(j), v) for j, v in enumerate(val_set, first)}
-        return mae_minutes(preds, val_set, val_target)
+        return mae_minutes(preds, val_set, TARGETS[target_kind])
 
     epochs = minibatch_epochs(
-        params.layer_list(), params.trainable_mask, len(elapsed), config, rng, batch_loss,
-        lr_mult,
+        params.layer_list(), params.trainable_mask, sum(v.n_frames for v in train_videos),
+        config, rng, batch_loss, lr_mult,
     )
     try:
         for epoch, loss in enumerate(epochs):
@@ -556,7 +564,7 @@ def build_aux_init(
     checkpoint instead, through AuxInit.from_checkpoint.
     """
     videos = corpus.by_split("train")
-    config = config or TrainConfig(learning_rate=1e-2, epochs=40, seed=0)
+    config = config or TrainConfig(epochs=40)
     if aux_task in ("uniform", "phase"):
         labels, _, n_classes = _resolve_aux_targets(corpus, aux_task, None, n_subactivities)
         params = init_appearance(

@@ -9,7 +9,14 @@ import pytest
 
 import segrsd
 from segrsd.cli import _config_of, build_parser, main
-from segrsd.data_io import SynthConfig, load_rsd_checkpoint, load_seg_checkpoint
+from segrsd.data_io import (
+    _KIND_SEG,
+    SynthConfig,
+    _read_container,
+    _write_container,
+    load_rsd_checkpoint,
+    load_seg_checkpoint,
+)
 from segrsd.segtrain import SegTrainConfig
 
 
@@ -297,6 +304,22 @@ class TestExitCodes:
         assert "error:" in err and "--checkpoint" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pipeline, aux", [
+        ("feature", "none"), ("pretrain", "none"), ("regularize", "none"), ("single", "seg"),
+    ])
+    def test_usage_error_pipeline_aux_pair(self, tmp_path, capsys, pipeline, aux):
+        # PipelineMode rejects the pair before the corpus loads, so a missing
+        # corpus is not reported
+        out = tmp_path / "out"
+        code = main([
+            "train-rsd", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+            "--pipeline", pipeline, "--aux", aux,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "manifest" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_usage_error_non_finite_duration(self, tmp_path, capsys, duration):
         out = tmp_path / "c"
@@ -332,6 +355,51 @@ class TestExitCodes:
         ])
         assert code == 2
         capsys.readouterr()
+
+    EVALUATE = ["evaluate", "--models"]
+
+    def _checkpoint_error(self, workspace, tmp_path, capsys, command, checkpoint):
+        """(exit code, stderr) of command, whose last flag takes checkpoint,
+        on the workspace corpus; it must write no output directory."""
+        out = tmp_path / "out"
+        code = main([
+            command[0], "--corpus", str(workspace / "corpus"), "--out", str(out),
+            *command[1:], str(checkpoint),
+        ])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_data_error_seg_checkpoint_without_metadata(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _write_container(bad, _KIND_SEG, {}, [])
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}:" in err and "'n_layers'" in err
+
+    def test_data_error_rsd_checkpoint_without_array(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(
+            workspace / "single" / "rsd_single_none_smoothl1.ckpt", bad,
+            lambda meta, arrays: arrays.pop("embed0.w"),
+        )
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}:" in err and "'embed0.w'" in err
+
+    @pytest.mark.parametrize("command", [
+        EVALUATE,
+        ["train-rsd", "--pipeline", "feature", "--aux", "seg", "--epochs", "1", "--checkpoint"],
+    ])
+    def test_data_error_seg_checkpoint_of_wrong_rho(self, workspace, tmp_path, capsys, command):
+        bad = tmp_path / "bad.ckpt"
+
+        def cut_rho(meta, arrays):
+            arrays["rho"] = arrays["rho"][:-1]
+
+        _rewrite_checkpoint(workspace / "seg" / "segmentation.ckpt", bad, cut_rho)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, command, bad)
+        assert code == 2
+        assert f"error: {bad}:" in err and "rho" in err
 
     def _corpus_copy(self, workspace, tmp_path):
         root = tmp_path / "corpus"
@@ -443,6 +511,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "'v000'" in err and "frames" in err
         assert not out.exists()
+
+
+def _rewrite_checkpoint(source, path, edit):
+    """Write source's checkpoint container to path after edit(meta, arrays)."""
+    kind, meta, arrays = _read_container(source)
+    del meta["arrays"]  # _write_container lists the arrays it writes
+    edit(meta, arrays)
+    _write_container(path, kind, meta, list(arrays.items()))
 
 
 def test_parser_defaults_are_the_config_defaults():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -290,9 +292,10 @@ class TestSegCheckpoint:
     def test_shape_checks(self, tmp_path):
         path = tmp_path / "seg.ckpt"
         save_seg_checkpoint(_seg_checkpoint(k=3, d=4), path)
-        with pytest.raises(ShapeMismatchError):
+        # each message names the file, as evaluate may read several
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: expects 4-dim")):
             load_seg_checkpoint(path, expect_feature_dim=5)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: has 3 subactivities")):
             load_seg_checkpoint(path, expect_k=4)
         load_seg_checkpoint(path, expect_feature_dim=4, expect_k=3)
 
@@ -361,7 +364,7 @@ class TestRsdCheckpoint:
     def test_feature_dim_check(self, tmp_path):
         path = tmp_path / "rsd.ckpt"
         save_rsd_checkpoint(self._params(), path)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: expects 5-dim")):
             load_rsd_checkpoint(path, expect_feature_dim=9)
 
     def test_save_twice_byte_identical(self, tmp_path):

@@ -409,6 +409,33 @@ class TestGradients:
         with pytest.raises(ValueError):
             rsd_loss_and_grads(params, video, "l2", CORR)
 
+    def test_target_in_output_scale_units(self):
+        # a model whose output is the remaining minutes at row k has no loss
+        # there: the target is output_scale times them, whatever the
+        # corridor's scale
+        params = init_rsd(np.random.default_rng(70), 3, hidden_dim=5, head_dim=4,
+                          output_scale=1.0)
+        video = make_video(n_frames=8, n_features=3, seed=0, period=30.0)
+        k = 3
+        params.head2.weights[:] = 0.0
+        params.head2.bias[:] = video.remaining_min()[k]
+        assert predict_video(params, video)[k] == video.remaining_min()[k]
+        loss, _ = rsd_loss_and_grads(
+            params, video, "smoothl1", CorridorParams(5.0), frame_indices=[k],
+        )
+        assert loss == 0.0
+
+    def test_corr_rejects_progress_target(self):
+        params = init_rsd(np.random.default_rng(80), 3, hidden_dim=5, head_dim=4,
+                          output_scale=1.0)
+        video = make_video(n_frames=5, n_features=3)
+        with pytest.raises(ValueError, match="remaining minutes only"):
+            rsd_loss_and_grads(params, video, "corr", CORR, target_kind="progress")
+        corpus = _rsd_corpus()
+        with pytest.raises(ValueError, match="remaining minutes only"):
+            train_rsd(corpus, None, PipelineMode("single_task"), "corr", TrainConfig(epochs=1),
+                      CORR, target_kind="progress", verbose=False)
+
 
 class TestSelectedRows:
     """Only the selected frames carry loss; the context stops at the last one."""
@@ -544,17 +571,9 @@ class TestSelectedRows:
 def _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind, scale=1.0):
     """A head loss for _trunk_source over videos, as train_rsd builds it, with
     aux_weight 0.7 and every weight times scale."""
-    elapsed = np.concatenate([v.elapsed_min() for v in videos])
-    remaining = np.concatenate([v.remaining_min() for v in videos])
-    aux = None if aux_targets[0] is None else np.concatenate(aux_targets)
-
-    def head_loss(trunk, rows, weight):
-        return rsd._rsd_loss(
-            params, trunk, elapsed[rows], remaining[rows], None if aux is None else aux[rows],
-            scale * weight, loss, CORR, 0.7, target_kind,
-        )
-
-    return head_loss
+    aux = None if aux_targets[0] is None else {v.id: t for v, t in zip(videos, aux_targets)}
+    head_loss = rsd._stacked_loss(params, videos, loss, target_kind, CORR, aux, 0.7)
+    return lambda trunk, rows, weight: head_loss(trunk, rows, scale * weight)
 
 
 class TestFrozenEmbedding:
@@ -592,7 +611,8 @@ class TestFrozenEmbedding:
         setups = [TestSelectedRows._setup(n_frames, aux_kind, target_kind, seed)
                   for seed, n_frames in enumerate((181, 2, 1800, 40))]
         params = setups[0][0]
-        videos = [video for _, video, _ in setups]
+        # distinct ids: the stacked loss looks aux targets up by video id
+        videos = [dataclasses.replace(video, id=f"v{i}") for i, (_, video, _) in enumerate(setups)]
         aux_targets = [aux for _, _, aux in setups]
         params.trainable_mask[0] = False
         starts = np.cumsum([0, *(v.n_frames for v in videos)])
