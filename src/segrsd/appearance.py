@@ -3,14 +3,14 @@
 A stack of tanh dense layers embeds each frame; a causal exponential
 accumulator c_t = lam * c_{t-1} + (1 - lam) * e_t (c_0 = e_0) summarizes the
 past; the softmax head classifies [e_t, c_t] into subactivities. Whole-video
-passes run in blocks of frames (_trunk_blocks): each block's accumulator is
-a log-step scan started from the previous block's last value, and the head
-runs per block, so a long video allocates no frames-sized temporaries. A
-training batch computes the accumulator at its rows only (_row_context) and
-backpropagates through its exact adjoint. Training
-supports per-layer freezing, which the alternating trainer uses to unfreeze
-one extra layer per iteration, and a temporal-coherence objective pretrains
-the embedding before the first iteration.
+passes run in blocks of frames (_trunk_blocks), each in arrays of its own:
+a block's accumulator is a log-step scan started from the previous block's
+last value, and the head runs per block, so a long video allocates no
+frames-sized temporaries. A training batch computes the accumulator at its
+rows only (_row_context) and backpropagates through its exact adjoint.
+Training supports per-layer freezing, which the alternating trainer uses to
+unfreeze one extra layer per iteration, and a temporal-coherence objective
+pretrains the embedding before the first iteration.
 """
 from __future__ import annotations
 
@@ -296,60 +296,43 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows):
     return (acts, plan), acts[-1][rows], _row_context(plan, acts[-1])
 
 
-def _block_buffers(n_frames: int, widths: Sequence[int]):
-    """The buffers of a whole-video pass, one array of _BLOCK_ROWS rows per
-    width, which every block reuses; None for a video of one block, whose
-    operations allocate their outputs as one whole-array pass does (cheaper
-    than buffers at that size)."""
-    if n_frames <= _BLOCK_ROWS:
-        return None
-    return [np.empty((_BLOCK_ROWS, w)) for w in widths]
-
-
 def _trunk_blocks(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray):
     """Embedding chain and causal context of every frame, in row blocks.
 
     Yields (start, emb, ctx) for frames start..start + len(emb) - 1, blocks
-    of _BLOCK_ROWS frames in order. A video of several blocks computes them
-    all in one set of arrays, allocated once per call, so a block is valid
-    until the next one is asked for. The first block's context is
+    of _BLOCK_ROWS frames in order, each in arrays of its own, so every
+    yielded block stays valid. The first block's context is
     context_accumulate's; each later one continues it through the block's
     first row, c_s = lam c_{s-1} + (1-lam) e_s, which the scan carries on. A
     video of one block thus runs one whole-array pass's operations.
     """
-    bufs = _block_buffers(len(feats), [layer.out_dim for layer in layers])
     for start in range(0, len(feats), _BLOCK_ROWS):
-        emb = _embed_chain(layers, feats[start:start + _BLOCK_ROWS], bufs)[-1]
+        emb = _embed_chain(layers, feats[start:start + _BLOCK_ROWS])[-1]
         if start:
-            carry = lam * ctx[-1]  # the last context row of the full block before
-            c = np.multiply(1.0 - lam, emb, out=ctx[:len(emb)])
-            c[0] += carry
-            _decay_scan(c, lam)
+            c = (1.0 - lam) * emb
+            c[0] += lam * ctx[-1]  # the last context row of the block before
+            ctx = _decay_scan(c, lam)
         else:
-            c = ctx = context_accumulate(emb, lam)
-        yield start, emb, c
+            ctx = context_accumulate(emb, lam)
+        yield start, emb, ctx
 
 
 def _trunk_source(layers, mask, lam, videos, head_loss):
-    """(blocks, batch_loss) of videos under the live layers.
+    """optim.minibatch_epochs' batch loss over videos under the live layers.
 
-    blocks(vi) yields _trunk_blocks' (start, emb, ctx) of videos[vi].
-    batch_loss(rows) is optim.minibatch_epochs' batch loss: rows are sorted
-    rows of the videos' frames stacked in order, and it returns (loss, grads)
-    of head_loss(trunk, rows, weight), trunk = (back, emb, ctx) at rows, with
-    each touched video weighing 1/touched. On live layers head_loss runs once
-    per touched video, in increasing order, on _trunk of its rows with weight
-    1/touched, and the losses and grads are summed (a frozen layer's None
-    stays None). With no embedding layer training, every frame's [emb, ctx]
-    is computed once here, block by block, into one (frames, h) pair that
-    blocks reads too; a batch gathers its rows from it, back None, and runs
-    head_loss once with per-row weights (1/touched)/n_v on video v's n_v rows.
+    batch_loss(rows) takes sorted rows of the videos' frames stacked in order
+    and returns (loss, grads) of head_loss(trunk, rows, weight), trunk =
+    (back, emb, ctx) at rows, with each touched video weighing 1/touched. On
+    live layers head_loss runs once per touched video, in increasing order,
+    on _trunk of its rows with weight 1/touched, and the losses and grads are
+    summed (a frozen layer's None stays None). With no embedding layer
+    training, every frame's [emb, ctx] is computed once here, block by block,
+    into one (frames, h) pair; a batch gathers its rows from it, back None,
+    and runs head_loss once with per-row weights (1/touched)/n_v on video v's
+    n_v rows.
     """
     offsets = np.cumsum([0, *(video.n_frames for video in videos)])
     if any(mask):
-        def live_blocks(vi):
-            return _trunk_blocks(layers, lam, videos[vi].features)
-
         def live_batch(rows):
             cuts = np.searchsorted(rows, offsets)
             touched = np.flatnonzero(np.diff(cuts))
@@ -368,17 +351,12 @@ def _trunk_source(layers, mask, lam, videos, head_loss):
                             acc[1] += g[1]
             return loss, total
 
-        return live_blocks, live_batch
+        return live_batch
     emb, ctx = np.empty((2, offsets[-1], layers[-1].out_dim))
     for video, at in zip(videos, offsets):
         for start, e, c in _trunk_blocks(layers, lam, video.features):
             rows = slice(at + start, at + start + len(e))
             emb[rows], ctx[rows] = e, c
-
-    def cached_blocks(vi):
-        e, c = emb[offsets[vi]:offsets[vi + 1]], ctx[offsets[vi]:offsets[vi + 1]]
-        return ((s, e[s:s + _BLOCK_ROWS], c[s:s + _BLOCK_ROWS])
-                for s in range(0, len(e), _BLOCK_ROWS))
 
     def cached_batch(rows):
         counts = np.diff(np.searchsorted(rows, offsets))
@@ -386,15 +364,13 @@ def _trunk_source(layers, mask, lam, videos, head_loss):
         weights = np.repeat(1.0 / len(counts) / counts, counts)
         return head_loss((None, emb[rows], ctx[rows]), rows, weights)
 
-    return cached_blocks, cached_batch
+    return cached_batch
 
 
-def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray, bufs=None):
-    """The softmax head on [emb, ctx]; returns (phi, logits), computed in
-    the leading rows of bufs = (phi, logits) if given."""
-    n = len(emb)
-    phi = np.concatenate([emb, ctx], axis=1, out=_leading(bufs, 0, n))
-    z = np.matmul(phi, head.weights.T, out=_leading(bufs, 1, n))
+def _logits(head: DenseLayer, emb: np.ndarray, ctx: np.ndarray):
+    """The softmax head on [emb, ctx]; returns (phi, logits)."""
+    phi = np.concatenate([emb, ctx], axis=1)
+    z = phi @ head.weights.T
     z += head.bias
     return phi, z
 
@@ -403,9 +379,8 @@ def forward(params: AppearanceParams, video) -> np.ndarray:
     """Per-frame class probabilities, shape (n_frames, n_classes)."""
     head = params.layers[-1]
     out = np.empty((video.n_frames, head.out_dim))
-    bufs = _block_buffers(video.n_frames, [head.in_dim, head.out_dim])
     for start, emb, ctx in _trunk_blocks(params.layers[:-1], params.context_lambda, video.features):
-        softmax(_logits(head, emb, ctx, bufs)[1], out=out[start:start + len(emb)])
+        softmax(_logits(head, emb, ctx)[1], out=out[start:start + len(emb)])
     return out
 
 
@@ -567,7 +542,7 @@ def train_appearance(
     def head_loss(trunk, rows, weight):
         return _cross_entropy(out, trunk, labs[rows], weight)
 
-    _, batch_loss = _trunk_source(
+    batch_loss = _trunk_source(
         out.layers[:-1], out.trainable_mask[:-1], out.context_lambda, videos, head_loss,
     )
     for _ in minibatch_epochs(

@@ -37,8 +37,9 @@ from .rsd import (
     PipelineMode,
     build_aux_init,
     default_train_config,
+    mae_of,
     naive_prediction,
-    predict_video,
+    predict_video,  # perfbench/layers.py traces it under this name
     train_rsd,
 )
 from .segtrain import MAX_COHERENT_LABELS, SegTrainConfig, select_checkpoint
@@ -219,10 +220,6 @@ def _aux_source(args, corpus, aux, corridor, epochs, *seed_key) -> AuxInit:
     )
 
 
-def _model_mae(params, videos) -> float:
-    return mae_minutes({v.id: predict_video(params, v) for v in videos}, videos)
-
-
 def _naive_mae(videos, corridor) -> float:
     return mae_minutes({v.id: naive_prediction(v.elapsed_min(), corridor) for v in videos}, videos)
 
@@ -261,7 +258,7 @@ def _cmd_train_rsd(args) -> int:
         n_subactivities=args.k,
     )
     test = corpus.by_split("test")
-    test_mae = _model_mae(params, test) if test else float("nan")
+    test_mae = mae_of(params, test) if test else float("nan")
     naive_mae = _naive_mae(test, corridor) if test else float("nan")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,7 +302,7 @@ def _cmd_evaluate(args) -> int:
             continue
         params, meta = load_rsd_checkpoint(model_path, expect_feature_dim=corpus.feature_dim)
         key = (meta.get("aux", "none"), meta.get("pipeline", "single_task"))
-        cells.setdefault(key, []).append(_model_mae(params, videos))
+        cells.setdefault(key, []).append(mae_of(params, videos))
     naive_mae = _naive_mae(videos, corridor)
 
     rows = [a for a in AUX_TASKS if any(k[0] == a for k in cells)]
@@ -357,7 +354,7 @@ def _cmd_baselines(args) -> int:
                         hidden_dim=args.hidden, n_subactivities=args.k,
                         verbose=False,
                     )
-                    maes.append(_model_mae(params, test))
+                    maes.append(mae_of(params, test))
                 cells[(aux, pipeline)] = summarize(maes)
         reports[loss] = cells
 

@@ -358,6 +358,8 @@ def _pack_layers(prefix: str, layers: Sequence[DenseLayer]):
 
 
 def _unpack_layers(prefix: str, count: int, arrays: dict) -> list[DenseLayer]:
+    if type(count) is not int or count < 1:  # bool is a subclass of int
+        raise ValueError(f"layer count {count!r} of {prefix!r} is not a positive integer")
     return [
         DenseLayer(arrays[f"{prefix}{i}.w"], arrays[f"{prefix}{i}.b"])
         for i in range(count)
@@ -386,8 +388,7 @@ def save_seg_checkpoint(ckpt: SegCheckpoint, path) -> None:
     _write_container(path, _KIND_SEG, meta, arrays)
 
 
-def load_seg_checkpoint(path, expect_feature_dim: int | None = None,
-                        expect_k: int | None = None) -> SegCheckpoint:
+def load_seg_checkpoint(path, expect_feature_dim: int | None = None) -> SegCheckpoint:
     _, meta, arrays = _read_container(path, _KIND_SEG)
     with _data_errors(path):
         layers = _unpack_layers("layer", meta["n_layers"], arrays)
@@ -398,8 +399,6 @@ def load_seg_checkpoint(path, expect_feature_dim: int | None = None,
             raise ShapeMismatchError(f"{path}: expects {app.feature_dim}-dim features, "
                                      f"corpus has {expect_feature_dim}")
         k = meta["n_subactivities"]
-        if expect_k is not None and k != expect_k:
-            raise ShapeMismatchError(f"{path}: has {k} subactivities, expected {expect_k}")
         if app.n_classes != k:
             raise ShapeMismatchError(f"{path}: classifier width disagrees with subactivity count")
         mallows = MallowsModel(k, arrays["rho"], meta["nu0"], meta["r0"])

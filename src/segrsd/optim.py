@@ -7,11 +7,11 @@ stay bit-identical and no optimizer state is made for them.
 `minibatch_epochs` is the one frame minibatch loop: it calls its batch loss
 once per batch, on the batch's rows of the training frames stacked in video
 order. The classifier and the duration regressor differ only in the head and
-loss they hand `appearance._trunk_source`, which builds that batch loss: on
+loss they hand `appearance._trunk_source`, which returns that batch loss: on
 live layers it embeds each touched video through its last selected frame and
 computes the causal context at the selected frames only, so a batch never
 scans a whole prefix; on a frozen embedding it reads every row from one
-cache and runs the head once.
+cache of the training frames and runs the head once.
 """
 from __future__ import annotations
 

@@ -37,8 +37,6 @@ from .appearance import (
     CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
-    _block_buffers,
-    _leading,
     _selected_backward,
     _trunk,
     _trunk_blocks,
@@ -276,41 +274,28 @@ def init_rsd(
     )
 
 
-def _duration_head(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, elapsed: np.ndarray,
-                   bufs=None):
-    """The duration head on rows of [emb, ctx, elapsed minutes]; (inp, hidden, scaled).
-
-    scaled is the output before output_scale. Given bufs = (inp, hidden,
-    scaled column), it computes in their leading rows.
-    """
-    n = len(emb)
-    inp = np.concatenate([emb, ctx, elapsed[:, None]], axis=1, out=_leading(bufs, 0, n))
-    hidden = np.matmul(inp, params.head1.weights.T, out=_leading(bufs, 1, n))
+def _duration_head(params: RsdParams, emb: np.ndarray, ctx: np.ndarray, elapsed: np.ndarray):
+    """The duration head on rows of [emb, ctx, elapsed minutes]; (inp, hidden,
+    scaled), scaled the output before output_scale."""
+    inp = np.concatenate([emb, ctx, elapsed[:, None]], axis=1)
+    hidden = inp @ params.head1.weights.T
     hidden += params.head1.bias
     np.tanh(hidden, out=hidden)
-    scaled = np.matmul(hidden, params.head2.weights.T, out=_leading(bufs, 2, n))
+    scaled = hidden @ params.head2.weights.T
     scaled += params.head2.bias
     return inp, hidden, scaled[:, 0]
 
 
-def _minutes(params: RsdParams, blocks, video: VideoSequence) -> np.ndarray:
-    """Predicted remaining minutes at every frame of video from its trunk
-    blocks (start, emb, ctx), with the head computed block by block in one
-    set of buffers."""
+def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
+    """Predicted remaining minutes at every frame, with the head computed
+    block by block on _trunk_blocks."""
     elapsed = video.elapsed_min()
     out = np.empty(video.n_frames)
-    bufs = _block_buffers(video.n_frames, [params.head1.in_dim, params.head1.out_dim, 1])
-    for start, emb, ctx in blocks:
+    for start, emb, ctx in _trunk_blocks(params.embed, params.context_lambda, video.features):
         rows = slice(start, start + len(emb))
-        scaled = _duration_head(params, emb, ctx, elapsed[rows], bufs)[2]
+        scaled = _duration_head(params, emb, ctx, elapsed[rows])[2]
         np.divide(scaled, params.output_scale, out=out[rows])
     return out
-
-
-def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
-    """Predicted remaining minutes at every frame."""
-    blocks = _trunk_blocks(params.embed, params.context_lambda, video.features)
-    return _minutes(params, blocks, video)
 
 
 # the name under which the acceptance gates import it
@@ -477,10 +462,11 @@ def train_rsd(
 
     History rows are (epoch, train_loss, val_mae). The returned parameters
     are the snapshot with the lowest validation MAE. A non-finite loss stops
-    training and returns the best parameters seen so far. With the whole
-    embedding frozen (feature_extraction), every train and val frame's
-    [emb, ctx] is computed once per call, each batch runs the heads once on
-    its rows, and every val MAE reads it.
+    training and returns the best parameters seen so far. Each epoch's val
+    MAE is mae_minutes over predict_video of the val videos (of the train
+    videos if there are none), against the trained target. With the whole
+    embedding frozen (feature_extraction), every train frame's [emb, ctx] is
+    computed once per call and each batch runs the heads once on its rows.
     """
     if mode.transfers and init is None:
         raise ValueError(f"{mode.pipeline} needs an upstream embedding to transfer")
@@ -512,32 +498,25 @@ def train_rsd(
         lr_mult[n_embed - 1] = 0.1
 
     train_videos = corpus.by_split("train")
-    val_videos = corpus.by_split("val")
     if not train_videos:
         raise ValueError("corpus has no training videos")
+    val_set = corpus.by_split("val") or train_videos
     history: list[tuple[int, float, float]] = []
     best = params.copy()
     best_mae = np.inf
-    val_set = val_videos or train_videos
-    all_videos = [*train_videos, *val_videos]
-    blocks, batch_loss = _trunk_source(
-        params.embed, params.trainable_mask[:n_embed], params.context_lambda, all_videos,
+    batch_loss = _trunk_source(
+        params.embed, params.trainable_mask[:n_embed], params.context_lambda, train_videos,
         _stacked_loss(params, train_videos, loss_name, target_kind, corridor, aux_targets,
                       aux_weight),
     )
-
-    def val_mae():
-        first = len(all_videos) - len(val_set)  # val_set ends all_videos
-        preds = {v.id: _minutes(params, blocks(j), v) for j, v in enumerate(val_set, first)}
-        return mae_minutes(preds, val_set, TARGETS[target_kind])
-
     epochs = minibatch_epochs(
         params.layer_list(), params.trainable_mask, sum(v.n_frames for v in train_videos),
         config, rng, batch_loss, lr_mult,
     )
     try:
         for epoch, loss in enumerate(epochs):
-            mae = val_mae()
+            preds = {v.id: predict_video(params, v) for v in val_set}
+            mae = mae_minutes(preds, val_set, TARGETS[target_kind])
             history.append((epoch, loss, mae))
             if verbose:
                 print(f"epoch={epoch} loss={loss:.6f} val_mae={mae:.6f}")

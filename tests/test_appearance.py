@@ -304,7 +304,7 @@ class TestWholeVideoBlocks:
         want = whole_array_trunk(embed, 0.9, video.features)
         before = make_video(n_frames=9, n_features=4, seed=1)
         seen = []
-        blocks, batch_loss = _trunk_source(
+        batch_loss = _trunk_source(
             embed, [False, False], 0.9, [before, video],
             lambda trunk, rows, weight: seen.append((trunk, rows, weight)) or (0.0, []),
         )
@@ -312,27 +312,34 @@ class TestWholeVideoBlocks:
         [((back, *got), rows, weight)] = seen
         assert back is None
         np.testing.assert_array_equal(weight, np.full(n_frames, 1.0 / n_frames))
-        got_blocks = list(blocks(1))
-        assert [start for start, _, _ in got_blocks] == list(range(0, n_frames, B))
         for i in range(2):
             assert_block_close(got[i], want[i], n_frames)
-            np.testing.assert_array_equal(np.concatenate([b[1 + i] for b in got_blocks]), got[i])
 
     @pytest.mark.parametrize("n_frames", BLOCK_FRAMES)
-    def test_live_trunk_blocks(self, n_frames):
+    def test_trunk_blocks(self, n_frames):
         params, video = self._setup(n_frames, 0.9)
         embed = params.layers[:-1]
         want = whole_array_trunk(embed, 0.9, video.features)
-        blocks, _ = _trunk_source(embed, [True, True], 0.9, [video], None)
-        # a block is valid until the next one: copy each as it comes
-        got = [(start, emb.copy(), ctx.copy()) for start, emb, ctx in blocks(0)]
+        got = list(appearance._trunk_blocks(embed, 0.9, video.features))
         assert [start for start, _, _ in got] == list(range(0, n_frames, B))
+        assert all(len(emb) == len(ctx) == min(B, n_frames - start) for start, emb, ctx in got)
         for i in range(2):
             assert_block_close(np.concatenate([b[1 + i] for b in got]), want[i], n_frames)
 
+    def test_earlier_blocks_unchanged_by_later_ones(self):
+        params, video = self._setup(3 * B + 7, 0.9)
+        kept, copies = [], []
+        for block in appearance._trunk_blocks(params.layers[:-1], 0.9, video.features):
+            kept.append(block)
+            copies.append([a.copy() for a in block[1:]])
+        assert len(kept) == 4
+        for (_, emb, ctx), (emb_then, ctx_then) in zip(kept, copies):
+            np.testing.assert_array_equal(emb, emb_then)
+            np.testing.assert_array_equal(ctx, ctx_then)
+
     def test_forward_memory_is_blocks_not_frames(self):
         # a whole-array pass holds several (frames, 2h) arrays at once; the
-        # blocked pass holds its output and buffers of B rows
+        # blocked pass holds its output and the arrays of a block or two
         h = 32
         params = init_appearance(np.random.default_rng(0), 4, [h], 5)
         video = make_video(n_frames=20 * B, n_features=4)
@@ -481,7 +488,7 @@ class TestFrozenEmbedding:
             params, video.features, labels, idx, weight=0.4
         )
         sel = np.arange(n_frames) if idx is None else idx
-        _, batch_loss = _trunk_source(
+        batch_loss = _trunk_source(
             params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [video],
             lambda trunk, rows, weight: _cross_entropy(params, trunk, labels[rows], 0.4 * weight),
         )
@@ -514,7 +521,7 @@ class TestFrozenEmbedding:
                 None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
             ]
         stacked = np.concatenate(labels)
-        _, batch_loss = _trunk_source(
+        batch_loss = _trunk_source(
             params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
             lambda trunk, rows, weight: _cross_entropy(params, trunk, stacked[rows], weight),
         )

@@ -401,6 +401,21 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {bad}:" in err and "rho" in err
 
+    @pytest.mark.parametrize("checkpoint, key, value", [
+        ("single/rsd_single_none_smoothl1.ckpt", "n_embed", 0),
+        ("single/rsd_single_none_smoothl1.ckpt", "n_embed", "1"),
+        ("single/rsd_single_none_smoothl1.ckpt", "n_embed", True),
+        ("seg/segmentation.ckpt", "n_layers", "2"),
+    ])
+    def test_data_error_checkpoint_layer_count(self, workspace, tmp_path, capsys,
+                                               checkpoint, key, value):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(workspace / checkpoint, bad,
+                            lambda meta, arrays: meta.update({key: value}))
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}: layer count {value!r}" in err
+
     def _corpus_copy(self, workspace, tmp_path):
         root = tmp_path / "corpus"
         root.mkdir()

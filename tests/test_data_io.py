@@ -295,9 +295,7 @@ class TestSegCheckpoint:
         # each message names the file, as evaluate may read several
         with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: expects 4-dim")):
             load_seg_checkpoint(path, expect_feature_dim=5)
-        with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: has 3 subactivities")):
-            load_seg_checkpoint(path, expect_k=4)
-        load_seg_checkpoint(path, expect_feature_dim=4, expect_k=3)
+        load_seg_checkpoint(path, expect_feature_dim=4)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"

@@ -69,7 +69,7 @@ class TestMinibatchEpochs:
                 heads[-1].append((rows.copy(), weight))
                 return 0.0, [[np.zeros((2, 3)), np.zeros(2)]]
 
-            _, trunk_batch_loss = _trunk_source(
+            trunk_batch_loss = _trunk_source(
                 [DenseLayer(np.ones((2, 3)), np.zeros(2))], [not frozen], 0.9, videos, head_loss,
             )
 

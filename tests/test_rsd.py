@@ -288,8 +288,8 @@ class TestPredictBlocks:
 
     def test_memory_is_blocks_not_frames(self):
         # a whole-array pass holds several (frames, 65) arrays at once; the
-        # blocked pass holds its output, the elapsed minutes and buffers of
-        # B rows
+        # blocked pass holds its output, the elapsed minutes and the arrays
+        # of a block or two
         params = init_rsd(np.random.default_rng(0), 4)
         width = params.head1.in_dim
         video = make_video(n_frames=20 * B, n_features=4)
@@ -592,7 +592,7 @@ class TestFrozenEmbedding:
             want_loss, want = TestSelectedRows._call(
                 params, video, loss, aux_target, target_kind, idx
             )
-            _, batch_loss = _trunk_source(
+            batch_loss = _trunk_source(
                 params.embed, params.trainable_mask[:1], params.context_lambda, [video],
                 _stacked_rsd_loss(params, [video], [aux_target], loss, target_kind, 0.4),
             )
@@ -633,7 +633,7 @@ class TestFrozenEmbedding:
             want = grads if want is None else [
                 None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
             ]
-        _, batch_loss = _trunk_source(
+        batch_loss = _trunk_source(
             params.embed, params.trainable_mask[:1], params.context_lambda, videos,
             _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind),
         )
@@ -661,8 +661,7 @@ class TestFrozenEmbedding:
             np.testing.assert_array_equal(got.bias, given.bias)
         [opt] = made
         assert isinstance(opt, optim.Adam) and set(opt._state) == {2, 3}
-        # the per-epoch val MAE read from the cached embedding is the one
-        # mae_of computes afresh
+        # the best per-epoch val MAE is the one mae_of computes
         assert mae_of(params, corpus.by_split("val")) == min(h[2] for h in hist)
 
 
@@ -729,9 +728,9 @@ class TestTrainRsd:
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_whole_video_trunk_passes(self, monkeypatch, epochs):
-        # feature_extraction embeds each train and val video once per call;
-        # single_task embeds the val video once per epoch for its MAE, and a
-        # train video only at batch rows
+        # feature_extraction embeds each train video once per call; both
+        # pipelines embed the val video once per epoch for its MAE, and
+        # single_task a train video only at batch rows
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
         train, [val] = corpus.by_split("train"), corpus.by_split("val")
@@ -742,12 +741,13 @@ class TestTrainRsd:
             return blocks(layers, lam, feats)
 
         monkeypatch.setattr(appearance, "_trunk_blocks", counted)
+        monkeypatch.setattr(rsd, "_trunk_blocks", counted)
         init = AuxInit([init_dense(np.random.default_rng(5), 3, 6)], context_lambda=0.9)
         cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, seed=1)
         _, hist = train_rsd(corpus, init, PipelineMode("feature_extraction", "uniform"),
                             "smoothl1", cfg, corr, verbose=False)
         assert len(hist) == epochs
-        assert sorted(whole) == sorted(v.id for v in [*train, val])
+        assert sorted(whole) == sorted(v.id for v in [*train, *[val] * epochs])
         whole.clear()
         _, hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
                             "smoothl1", cfg, corr, verbose=False)
@@ -813,8 +813,8 @@ class TestTrainRsd:
 
     @pytest.mark.parametrize("pipeline", ["single_task", "feature_extraction"])
     def test_best_val_mae_is_mae_of_on_videos_of_several_blocks(self, pipeline):
-        # the per-epoch val MAE runs the same blocks as predict_video, from
-        # the live layers or from the frozen cache, so the two agree exactly
+        # the per-epoch val MAE runs predict_video, on live layers or on a
+        # frozen embedding, so it agrees with mae_of exactly
         corpus = _rsd_corpus(n_videos=6, frames=(B + 1, 3 * B))
         [val] = corpus.by_split("val")
         assert val.n_frames > B
