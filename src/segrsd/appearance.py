@@ -14,6 +14,7 @@ pretrains the embedding before the first iteration.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,6 +26,13 @@ from .temporal import LOG_FLOOR
 
 # decay of the causal context of every model built from scratch
 CONTEXT_LAMBDA = 0.9
+# TC pretraining pushes apart frame pairs more than this many frames apart
+TC_GAP = 30
+
+
+def _check_lambda(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
+        raise ValueError(f"context_lambda outside [0, 1): {value!r}")
 
 
 @dataclass
@@ -39,9 +47,6 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
-
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy())
 
 
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int) -> DenseLayer:
@@ -70,8 +75,7 @@ class AppearanceParams:
             raise ValueError("need at least one embedding layer and a head")
         if len(self.trainable_mask) != len(self.layers):
             raise ValueError("trainable_mask must have one entry per layer")
-        if not 0.0 <= self.context_lambda < 1.0:
-            raise ValueError(f"context_lambda outside [0, 1): {self.context_lambda}")
+        _check_lambda(self.context_lambda)
         emb_dim = self.layers[-2].out_dim
         if self.layers[-1].in_dim != 2 * emb_dim:
             raise ValueError("head input width must be twice the embedding width")
@@ -83,13 +87,6 @@ class AppearanceParams:
     @property
     def feature_dim(self) -> int:
         return self.layers[0].in_dim
-
-    def copy(self) -> "AppearanceParams":
-        return AppearanceParams(
-            [layer.copy() for layer in self.layers],
-            list(self.trainable_mask),
-            self.context_lambda,
-        )
 
 
 def init_appearance(
@@ -533,7 +530,7 @@ def train_appearance(
             raise ValueError(f"missing labels for video {video.id!r}")
         if len(labels[video.id]) != video.n_frames:
             raise ValueError(f"label length mismatch for video {video.id!r}")
-    out = params.copy()
+    out = copy.deepcopy(params)
     if config.epochs <= 0 or not any(out.trainable_mask):
         return out
 
@@ -683,17 +680,16 @@ def tc_pretrain(
     videos: Sequence,
     params: AppearanceParams,
     config: TrainConfig,
-    gap: int = 30,
 ) -> AppearanceParams:
     """Pretrain the embedding so nearby frames embed smoothly and distant ones apart.
 
     Each epoch visits the videos in a random order and takes one optimizer
     step on each: the temporal-coherence loss with margin 1 on n_frames
-    pairs more than gap frames apart, plus L2. Every step computes in one
+    pairs more than TC_GAP frames apart, plus L2. Every step computes in one
     set of buffers sized for the longest video, allocated once per call and
     freed on return.
     """
-    out = params.copy()
+    out = copy.deepcopy(params)
     embed_mask = out.trainable_mask[:-1]
     if config.epochs <= 0 or not any(embed_mask):
         return out
@@ -704,7 +700,7 @@ def tc_pretrain(
     for epoch in range(config.epochs):
         for vi in rng.permutation(len(videos)):
             video = videos[int(vi)]
-            pairs = sample_distant_pairs(video.n_frames, video.n_frames, gap, rng)
+            pairs = sample_distant_pairs(video.n_frames, video.n_frames, TC_GAP, rng)
             loss, grads = _tc_step(embed, embed_mask, video.features, pairs, 1.0, bufs)
             loss = add_l2(embed, grads, loss, config.l2_weight)
             if not np.isfinite(loss):

@@ -10,9 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
+# numpy sizes its BLAS pool on first import: one thread unless the user says otherwise
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 from .appearance import TrainConfig
 from .core import derive_seed
 from .data_io import (

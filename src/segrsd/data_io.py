@@ -48,6 +48,7 @@ CHECKPOINT_MAGIC = b"SEGCKPT1"
 CHECKPOINT_VERSION = 1
 _KIND_SEG = 1
 _KIND_RSD = 2
+SPLIT_RATIOS = (5, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +180,18 @@ def load_corpus(root) -> Corpus:
         return Corpus(videos, split)
 
 
-def split_corpus(videos: Sequence[VideoSequence], ratios=(5, 1, 2), seed: int = 0) -> Corpus:
+def split_corpus(videos: Sequence[VideoSequence], seed: int = 0) -> Corpus:
     """Assign train/val/test splits by largest-remainder apportionment.
 
-    Videos are shuffled with the seed, counts follow the ratio proportions
-    (floors first, remaining slots to the largest fractional parts, ties to
-    the earlier split), and every split is non-empty when n >= sum(ratios).
+    Videos are shuffled with the seed, counts follow SPLIT_RATIOS (floors
+    first, remaining slots to the largest fractional parts, ties to the
+    earlier split), and every split is non-empty when n >= sum(SPLIT_RATIOS).
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive numbers")
     n = len(videos)
-    if n < sum(ratios):
-        raise ValueError(
-            f"need at least {sum(ratios)} videos for ratios {ratios}, got {n}"
-        )
-    total = sum(ratios)
-    quotas = [n * r / total for r in ratios]
+    total = sum(SPLIT_RATIOS)
+    if n < total:
+        raise ValueError(f"need at least {total} videos for ratios {SPLIT_RATIOS}, got {n}")
+    quotas = [n * r / total for r in SPLIT_RATIOS]
     counts = [int(q) for q in quotas]
     remainders = [q - c for q, c in zip(quotas, counts)]
     leftover = n - sum(counts)

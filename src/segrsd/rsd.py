@@ -27,6 +27,7 @@ low-rate pretraining transfer, joint training with an auxiliary head
 """
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,6 +38,7 @@ from .appearance import (
     CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
+    _check_lambda,
     _selected_backward,
     _trunk,
     _trunk_blocks,
@@ -201,6 +203,10 @@ class RsdParams:
     output_scale: float = 0.05
 
     def __post_init__(self):
+        _check_lambda(self.context_lambda)
+        scale = self.output_scale
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < np.inf:
+            raise ValueError(f"output_scale is not a finite positive number: {scale!r}")
         emb_dim = self.embed[-1].out_dim
         if self.head1.in_dim != 2 * emb_dim + 1:
             raise ValueError("duration head must take [embedding, context, elapsed]")
@@ -221,18 +227,6 @@ class RsdParams:
             layers.append(self.aux_head)
         return layers
 
-    def copy(self) -> "RsdParams":
-        return RsdParams(
-            [layer.copy() for layer in self.embed],
-            self.context_lambda,
-            self.head1.copy(),
-            self.head2.copy(),
-            self.aux_head.copy() if self.aux_head is not None else None,
-            self.aux_kind,
-            list(self.trainable_mask),
-            self.output_scale,
-        )
-
 
 @dataclass
 class AuxInit:
@@ -245,7 +239,7 @@ class AuxInit:
     @classmethod
     def from_checkpoint(cls, ckpt: SegCheckpoint) -> "AuxInit":
         app = ckpt.appearance
-        return cls([l.copy() for l in app.layers[:-1]], app.context_lambda, dict(ckpt.labels))
+        return cls(copy.deepcopy(app.layers[:-1]), app.context_lambda, dict(ckpt.labels))
 
 
 def init_rsd(
@@ -260,7 +254,7 @@ def init_rsd(
     embed: Sequence[DenseLayer] | None = None,
 ) -> RsdParams:
     embed_layers = (
-        [layer.copy() for layer in embed]
+        copy.deepcopy(list(embed))
         if embed is not None
         else [init_dense(rng, n_features, hidden_dim)]
     )
@@ -502,7 +496,7 @@ def train_rsd(
         raise ValueError("corpus has no training videos")
     val_set = corpus.by_split("val") or train_videos
     history: list[tuple[int, float, float]] = []
-    best = params.copy()
+    best = copy.deepcopy(params)
     best_mae = np.inf
     batch_loss = _trunk_source(
         params.embed, params.trainable_mask[:n_embed], params.context_lambda, train_videos,
@@ -522,7 +516,7 @@ def train_rsd(
                 print(f"epoch={epoch} loss={loss:.6f} val_mae={mae:.6f}")
             if mae < best_mae:
                 best_mae = mae
-                best = params.copy()
+                best = copy.deepcopy(params)
     except NumericalError as err:
         logger.error("%s; stopping with best params", err)
     return best, history
@@ -550,7 +544,7 @@ def build_aux_init(
             np.random.default_rng(config.seed), corpus.feature_dim, [hidden_dim], n_classes,
         )
         params = train_appearance(videos, labels, params, config)
-        return AuxInit([l.copy() for l in params.layers[:-1]], params.context_lambda, labels)
+        return AuxInit(copy.deepcopy(params.layers[:-1]), params.context_lambda, labels)
     if aux_task == "progress":
         corridor = corridor or CorridorParams.from_corpus(corpus)
         mode = PipelineMode("single_task", "none")
@@ -558,5 +552,5 @@ def build_aux_init(
             corpus, None, mode, "smoothl1", config, corridor,
             hidden_dim=hidden_dim, target_kind="progress", verbose=False,
         )
-        return AuxInit([l.copy() for l in params.embed], params.context_lambda, None)
+        return AuxInit(copy.deepcopy(params.embed), params.context_lambda, None)
     raise ValueError(f"aux task {aux_task!r} does not define a transfer")

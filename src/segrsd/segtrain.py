@@ -275,9 +275,9 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
         checkpoints.append(
             SegCheckpoint(
                 iteration=iteration,
-                appearance=params.copy(),
-                mallows=mallows,  # immutable
-                lengths=copy.deepcopy(length_model),
+                appearance=copy.deepcopy(params),
+                mallows=mallows,  # immutable, as are the lengths
+                lengths=length_model,
                 labels=labels,
                 tc_score=tc,
             )

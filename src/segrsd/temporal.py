@@ -70,28 +70,28 @@ class MallowsModel:
         object.__setattr__(self, "_cdf", _freeze(cdf))
 
     @classmethod
-    def with_constant_rho(cls, n_subactivities, rho_value, nu0=NU0, r0=R0):
-        return cls(n_subactivities, np.full(max(n_subactivities - 1, 0), float(rho_value)), nu0, r0)
+    def with_constant_rho(cls, n_subactivities, rho_value):
+        return cls(n_subactivities, np.full(max(n_subactivities - 1, 0), float(rho_value)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LengthModel:
-    """Multinomial split of frames over present subactivities."""
+    """Multinomial split of frames over present subactivities; immutable, theta included."""
 
     n_subactivities: int
     theta: np.ndarray = field(repr=False)  # (K,) simplex
     alpha0: float = ALPHA0
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
+        object.__setattr__(self, "theta", _freeze(np.array(self.theta, dtype=np.float64)))
         if self.theta.shape != (self.n_subactivities,):
             raise ValueError("theta must have one entry per subactivity")
         if self.theta.min() < 0 or not math.isclose(float(self.theta.sum()), 1.0, abs_tol=1e-9):
             raise ValueError("theta must be a probability vector")
 
     @classmethod
-    def uniform(cls, n_subactivities, alpha0=ALPHA0):
-        return cls(n_subactivities, np.full(n_subactivities, 1.0 / n_subactivities), alpha0)
+    def uniform(cls, n_subactivities):
+        return cls(n_subactivities, np.full(n_subactivities, 1.0 / n_subactivities))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from segrsd import optim
 from segrsd.appearance import (
     AppearanceParams,
     DenseLayer,
+    TC_GAP,
     TrainConfig,
     context_accumulate,
     cross_entropy_loss_and_grads,
@@ -878,7 +881,7 @@ class TestTrainAppearance:
         cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
         out = train_appearance(videos, labels, params, cfg)
 
-        want = params.copy()
+        want = copy.deepcopy(params)
 
         def video_loss(vi, idx, weight):
             video = videos[vi]
@@ -909,7 +912,7 @@ class TestTcPretrain:
     def test_changes_embedding_not_head(self):
         videos = [make_video("a", n_frames=50, n_features=3)]
         params = init_appearance(np.random.default_rng(2), 3, [4], 2)
-        out = tc_pretrain(videos, params, TrainConfig(epochs=3, seed=0), gap=10)
+        out = tc_pretrain(videos, params, TrainConfig(epochs=3, seed=0))
         assert not np.array_equal(params.layers[0].weights, out.layers[0].weights)
         np.testing.assert_array_equal(params.layers[-1].weights, out.layers[-1].weights)
 
@@ -919,16 +922,16 @@ class TestTcPretrain:
         videos = [make_video(f"v{n}", n_frames=n, n_features=6, seed=n) for n in (40, 400, 90)]
         params = init_appearance(np.random.default_rng(3), 6, [16], 4)
         cfg = TrainConfig(epochs=3, seed=7)
-        out = tc_pretrain(videos, params, cfg, gap=10)
+        out = tc_pretrain(videos, params, cfg)
 
-        want = params.copy()
+        want = copy.deepcopy(params)
         embed, mask = want.layers[:-1], want.trainable_mask[:-1]
         rng = np.random.default_rng(cfg.seed)
         opt = optim.make_optimizer(cfg)
         for _ in range(cfg.epochs):
             for vi in rng.permutation(len(videos)):
                 video = videos[int(vi)]
-                pairs = sample_distant_pairs(video.n_frames, video.n_frames, 10, rng)
+                pairs = sample_distant_pairs(video.n_frames, video.n_frames, TC_GAP, rng)
                 loss, grads = _reference_tc(want, video.features, pairs)
                 optim.add_l2(embed, grads, loss, cfg.l2_weight)
                 opt.step(embed, grads, mask)
@@ -941,6 +944,6 @@ class TestTcPretrain:
         videos = [make_video("a", n_frames=50, n_features=3)]
         params = init_appearance(np.random.default_rng(2), 3, [4], 2)
         cfg = TrainConfig(epochs=3, seed=5)
-        a = tc_pretrain(videos, params, cfg, gap=10)
-        b = tc_pretrain(videos, params, cfg, gap=10)
+        a = tc_pretrain(videos, params, cfg)
+        b = tc_pretrain(videos, params, cfg)
         np.testing.assert_array_equal(a.layers[0].weights, b.layers[0].weights)

@@ -416,6 +416,26 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {bad}: layer count {value!r}" in err
 
+    @pytest.mark.parametrize("checkpoint, key, value", [
+        ("single/rsd_single_none_smoothl1.ckpt", "context_lambda", "0.9"),
+        ("single/rsd_single_none_smoothl1.ckpt", "context_lambda", 1.5),
+        ("seg/segmentation.ckpt", "context_lambda", "0.9"),
+        ("seg/segmentation.ckpt", "context_lambda", False),
+        ("single/rsd_single_none_smoothl1.ckpt", "output_scale", "x"),
+        ("single/rsd_single_none_smoothl1.ckpt", "output_scale", -1.0),
+        ("single/rsd_single_none_smoothl1.ckpt", "output_scale", True),
+    ])
+    def test_data_error_checkpoint_scalar(self, workspace, tmp_path, capsys,
+                                          checkpoint, key, value):
+        # a wrong-typed or out-of-range value is rejected as the file loads,
+        # not met later as a TypeError, a usage error or sign-flipped output
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(workspace / checkpoint, bad,
+                            lambda meta, arrays: meta.update({key: value}))
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}: {key}" in err and repr(value) in err
+
     def _corpus_copy(self, workspace, tmp_path):
         root = tmp_path / "corpus"
         root.mkdir()
@@ -588,16 +608,43 @@ class TestBaselines:
 
 
 def test_import_loads_no_scipy():
-    # the package and its CLI run on numpy and the standard library alone
+    # the package and its CLI run on numpy and the standard library alone; a
+    # bare `import segrsd` loads neither numpy nor any submodule
     code = (
-        "import sys, segrsd, segrsd.cli; "
+        "import sys, segrsd; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'segrsd'))); "
+        "import segrsd.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(segrsd.__file__).parents[1])},
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["['segrsd']", "[]"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or not Path("/proc/self/status").is_file(),
+                    reason="needs two cores and /proc to tell the pool sizes apart")
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+def test_cli_runs_one_blas_thread_unless_told(setting, threads):
+    # importing the CLI sets one BLAS thread before numpy loads; the user's
+    # own setting wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(segrsd.__file__).parents[1])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = (
+        "import segrsd.cli, numpy as np; a = np.ones((256, 256)); a @ a; "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('Threads:')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert int(done.stdout) == threads
 
 
 def test_commands_load_no_numpy_ma(workspace):

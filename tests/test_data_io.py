@@ -166,10 +166,6 @@ class TestSplitCorpus:
         with pytest.raises(ValueError):
             split_corpus(self._videos(7))
 
-    def test_bad_ratios(self):
-        with pytest.raises(ValueError):
-            split_corpus(self._videos(10), ratios=(1, 0, 1))
-
 
 class TestSynthGenerate:
     def test_reproducible(self):

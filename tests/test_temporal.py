@@ -164,13 +164,13 @@ class TestEstimateRho:
     def test_uniform_mean_gives_zero(self):
         # slot means equal to the uniform means force rho to 0
         observed = np.array([[0, 0], [1, 1], [2, 0], [0, 1], [1, 0], [2, 1]])
-        m = MallowsModel.with_constant_rho(3, 1.0, nu0=0.0)
+        m = MallowsModel(3, np.ones(2), nu0=0.0)
         rho = estimate_rho(observed, m)
         np.testing.assert_allclose(rho, 0.0, atol=1e-6)
 
     def test_all_zero_clamps_high(self):
         observed = np.zeros((50, 2), dtype=int)
-        m = MallowsModel.with_constant_rho(3, 1.0, nu0=0.0)
+        m = MallowsModel(3, np.ones(2), nu0=0.0)
         rho = estimate_rho(observed, m)
         np.testing.assert_allclose(rho, 50.0)
 
@@ -178,7 +178,7 @@ class TestEstimateRho:
         true = MallowsModel.with_constant_rho(6, 1.5)
         rng = np.random.default_rng(4)
         draws = np.array([mallows_sample(true, rng) for _ in range(10000)])
-        est = estimate_rho(draws, MallowsModel.with_constant_rho(6, 1.0, nu0=0.1, r0=1.0))
+        est = estimate_rho(draws, MallowsModel(6, np.ones(5), nu0=0.1, r0=1.0))
         assert np.all(np.abs(est - 1.5) < 0.1)
 
     def test_empty_rejected(self):
@@ -218,12 +218,22 @@ class TestLengths:
         with pytest.raises(ValueError):
             sample_lengths(lm, [0, 1, 2], 2, np.random.default_rng(0))
 
+    def test_model_is_immutable(self):
+        theta = np.array([0.25, 0.75])
+        model = LengthModel(2, theta)
+        theta[0] = 0.5  # the model holds its own copy
+        assert model.theta.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            model.theta[0] = 0.5
+        with pytest.raises(AttributeError):
+            model.theta = np.full(2, 0.5)
+
     def test_update_theta_symmetric(self):
-        lm = LengthModel.uniform(2, alpha0=1.0)
+        lm = LengthModel(2, np.full(2, 0.5), alpha0=1.0)
         np.testing.assert_allclose(update_theta(np.array([10, 10]), lm), [0.5, 0.5])
 
     def test_update_theta_ratio(self):
-        lm = LengthModel.uniform(2, alpha0=0.0)
+        lm = LengthModel(2, np.full(2, 0.5), alpha0=0.0)
         np.testing.assert_allclose(update_theta(np.array([30, 10]), lm), [0.75, 0.25])
 
     def test_update_theta_simplex(self):
@@ -231,7 +241,7 @@ class TestLengths:
         for _ in range(50):
             k = int(rng.integers(2, 7))
             counts = rng.integers(0, 100, size=k)
-            theta = update_theta(counts, LengthModel.uniform(k, alpha0=0.5))
+            theta = update_theta(counts, LengthModel(k, np.full(k, 1 / k), alpha0=0.5))
             assert theta.sum() == pytest.approx(1.0, abs=1e-12)
             assert (theta > 0).all()
 
