@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
 from .optim import add_l2, make_optimizer, minibatch_epochs
@@ -161,7 +162,20 @@ _DENSE_ROW_WEIGHTS = 24576
 _BLOCK_ROWS = 512
 
 
-def _row_plan(rows, lam: float):
+def _decay_table(lam: float, n: int):
+    """(powers, toeplitz) for rows of up to n frames. powers[d] = lam**d, from
+    one call and flushed to 0 below eps**2 as in _decay_scan; toeplitz is the
+    read-only lower-triangular n x n view toeplitz[r, s] = (1-lam) powers[r-s]
+    (0 for s > r) over one array of 2n - 1 entries, so a dense row plan is a
+    gather of rows from it."""
+    powers = np.power(lam, np.arange(n), dtype=np.float64)
+    powers[powers < np.finfo(np.float64).eps ** 2] = 0.0
+    flat = np.zeros(2 * n - 1)
+    np.multiply(powers, 1.0 - lam, out=flat[n - 1:])
+    return powers, sliding_window_view(flat, n)[:, ::-1]
+
+
+def _row_plan(rows, lam: float, table=None):
     """Bookkeeping of the context at sorted distinct rows i_1 < ... < i_K.
 
     context_accumulate gives ctx_t = (1-lam) sum_{s<=t} lam**(t-s) e_s
@@ -169,7 +183,8 @@ def _row_plan(rows, lam: float):
     let S_k = sum over segment k of lam**(i_k-s) e_s; then C_k =
     sum_{j<=k} lam**(i_k-i_j) S_j is a scan over the K rows only, and
     ctx[i_k] = (1-lam) C_k + lam**(i_k+1) e_0. Returns (rows, form). On a
-    short prefix form is the K x (i_K + 1) matrix of this linear map.
+    short prefix form is the K x (i_K + 1) matrix of this linear map, rows of
+    table = _decay_table(lam, n) for some n > i_K (built here if None).
     Otherwise it is (lengths, weights, lam, head, steps): the segments' frame
     counts, the lam**(i_k-s) of every frame, lam, the (K, 1) lam**(i_k+1),
     and the (shift m, factors lam**(i_k - i_{k-m})) of a log-step scan over
@@ -188,12 +203,10 @@ def _row_plan(rows, lam: float):
     tiny = np.finfo(np.float64).eps ** 2
     n = int(rows[-1]) + 1
     if len(rows) * n <= _DENSE_ROW_WEIGHTS:
-        # lam**d at d = i_k - s; the zero upper half serves d < 0 (s after i_k)
-        powers = np.zeros(2 * n)
-        powers[:n] = np.power(lam, np.arange(n), dtype=np.float64)
-        powers[powers < tiny] = 0.0
-        matrix = powers[rows[:, None] - np.arange(n)]
-        matrix[:, 1:] *= 1.0 - lam
+        powers, toeplitz = table or _decay_table(lam, n)
+        # (1-lam) lam**(i_k-s) for s <= i_k, 0 after; frame 0 weighs lam**i_k
+        matrix = toeplitz[rows, :n]
+        matrix[:, 0] = powers[rows]
         return rows, matrix
     shifts, m = [], 1
     while m < len(rows) and lam ** m > tiny:
@@ -278,7 +291,7 @@ def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray, out=None) -> l
     return acts
 
 
-def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows):
+def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows, table=None):
     """Embedding chain and causal context of feats at rows; (back, emb, ctx).
 
     rows are sorted distinct frame indices. The chain runs through frame
@@ -287,7 +300,7 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows):
     (acts, plan) holds the chain's activations, input first, and the rows'
     plan for _selected_backward. Whole videos go through _trunk_blocks.
     """
-    plan = _row_plan(rows, lam)
+    plan = _row_plan(rows, lam, table)
     rows = plan[0]
     acts = _embed_chain(layers, feats[:rows[-1] + 1])
     return (acts, plan), acts[-1][rows], _row_context(plan, acts[-1])
@@ -330,13 +343,15 @@ def _trunk_source(layers, mask, lam, videos, head_loss):
     """
     offsets = np.cumsum([0, *(video.n_frames for video in videos)])
     if any(mask):
+        table = _decay_table(lam, max(video.n_frames for video in videos))
+
         def live_batch(rows):
             cuts = np.searchsorted(rows, offsets)
             touched = np.flatnonzero(np.diff(cuts))
             loss, total = 0.0, None
             for vi in touched:
                 at = rows[cuts[vi]:cuts[vi + 1]]
-                trunk = _trunk(layers, lam, videos[vi].features, at - offsets[vi])
+                trunk = _trunk(layers, lam, videos[vi].features, at - offsets[vi], table)
                 part, grads = head_loss(trunk, at, 1.0 / len(touched))
                 loss += part
                 if total is None:

@@ -175,6 +175,34 @@ class TestRowContext:
         dense = [isinstance(_row_plan(_row_case(*c)[2], c[1])[1], np.ndarray) for c in ROW_CASES]
         assert dense == [True] * 6 + [False] * 6
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 0.99])
+    def test_dense_plan_equals_the_index_gather(self, lam):
+        # the dense plan gathers rows of the Toeplitz view of one powers
+        # table, built for the rows or for a longer video; it is bit-equal to
+        # the K x n gather through the index i_k - s that it replaced
+        def index_gather(rows):
+            n = rows[-1] + 1
+            powers = np.zeros(2 * n)  # the zero upper half serves s after i_k
+            powers[:n] = np.power(lam, np.arange(n), dtype=np.float64)
+            powers[powers < np.finfo(np.float64).eps ** 2] = 0.0
+            matrix = powers[rows[:, None] - np.arange(n)]
+            matrix[:, 1:] *= 1.0 - lam
+            return matrix
+
+        rng = np.random.default_rng(int(100 * lam))
+        for _ in range(200):
+            n = int(rng.integers(1, 401))
+            rows = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 60) + 1)),
+                                      replace=False))
+            if len(rows) * (rows[-1] + 1) > appearance._DENSE_ROW_WEIGHTS:
+                continue
+            want = index_gather(rows)
+            longer = appearance._decay_table(lam, n + int(rng.integers(0, 2000)))
+            for table in (None, longer):
+                got = _row_plan(rows, lam, table)[1]
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_rows", [96, 97])
     def test_dense_form_up_to_its_size_limit(self, n_rows):
         # 96 rows of a 256-frame prefix fill the dense form's 24576 entries
