@@ -161,6 +161,10 @@ _DENSE_ROW_WEIGHTS = 24576
 # against 0.96 us and 4,281 faults for one whole-array pass.
 _BLOCK_ROWS = 512
 
+# A live training batch stacks its touched videos' prefixes in groups of at
+# most this many frames (_trunk_source); a longer video forms its own group.
+_STACK_ROWS = 4096
+
 
 def _decay_table(lam: float, n: int):
     """(powers, toeplitz) for rows of up to n frames. powers[d] = lam**d, from
@@ -248,18 +252,17 @@ def _row_context(plan, e: np.ndarray) -> np.ndarray:
     return c
 
 
-def _row_context_adjoint(plan, grad_ctx: np.ndarray) -> np.ndarray:
+def _row_context_adjoint(plan, grad_ctx: np.ndarray, out=None) -> np.ndarray:
     """Adjoint of _row_context: the gradient at frames 0..i_K of e from the
-    gradient at the rows of its context."""
+    gradient at the rows of its context, written into out if given."""
     _, form = plan
     if isinstance(form, np.ndarray):
-        return form.T @ grad_ctx
+        return np.matmul(form.T, grad_ctx, out=out)
     lengths, weights, lam, head, steps = form
     g = (1.0 - lam) * grad_ctx
     for m, f in reversed(steps):
         g[:-m] += f * g[m:]
-    out = np.repeat(g, lengths, axis=0)
-    out *= weights[:, None]
+    out = np.multiply(np.repeat(g, lengths, axis=0), weights[:, None], out=out)
     out[0] += head[:, 0] @ grad_ctx
     return out
 
@@ -291,19 +294,33 @@ def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray, out=None) -> l
     return acts
 
 
-def _trunk(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray, rows, table=None):
-    """Embedding chain and causal context of feats at rows; (back, emb, ctx).
+def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table=None, bufs=None):
+    """Embedding chain and causal context of videos at their rows; (back, emb, ctx).
 
-    rows are sorted distinct frame indices. The chain runs through frame
-    max(rows) only, since the context is causal, emb and ctx are taken at
-    rows, and the context is computed there alone (_row_context); back =
-    (acts, plan) holds the chain's activations, input first, and the rows'
-    plan for _selected_backward. Whole videos go through _trunk_blocks.
+    parts are the (feats, rows) of videos, rows sorted distinct frame
+    indices. Since the context is causal, each video's frames 0..max(rows)
+    are stacked in order (one video's are used where they are) and one chain
+    runs over the stack; emb and ctx hold every video's rows in turn, each
+    video's context computed at its rows alone from a plan of its own
+    (_row_plan, dense plans from table). back = (acts, plans, bufs) holds the
+    chain's activations, input first, and the plans for _selected_backward.
+    With bufs (_FrameBuffers) the stack, the chain and the backward pass
+    write into their leading rows. Whole videos go through _trunk_blocks.
     """
-    plan = _row_plan(rows, lam, table)
-    rows = plan[0]
-    acts = _embed_chain(layers, feats[:rows[-1] + 1])
-    return (acts, plan), acts[-1][rows], _row_context(plan, acts[-1])
+    plans = [_row_plan(rows, lam, table) for _, rows in parts]
+    ends = [0]
+    for rows, _ in plans:
+        ends.append(ends[-1] + int(rows[-1]) + 1)
+    if len(parts) == 1:
+        feats, rows = parts[0][0][:ends[1]], plans[0][0]
+    else:
+        feats = np.concatenate([f[:end - at] for (f, _), at, end in zip(parts, ends, ends[1:])],
+                               out=None if bufs is None else bufs.feats[:ends[-1]])
+        rows = np.concatenate([at + rows for at, (rows, _) in zip(ends, plans)])
+    acts = _embed_chain(layers, feats, None if bufs is None else bufs.acts)
+    e = acts[-1]
+    ctx = [_row_context(plan, e[at:end]) for plan, at, end in zip(plans, ends, ends[1:])]
+    return (acts, plans, bufs), e[rows], ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
 
 
 def _trunk_blocks(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray):
@@ -327,32 +344,54 @@ def _trunk_blocks(layers: Sequence[DenseLayer], lam: float, feats: np.ndarray):
         yield start, emb, ctx
 
 
+def _video_shares(counts: np.ndarray) -> np.ndarray:
+    """Per-row weights of a batch with counts[v] rows of video v: each touched
+    video weighs 1/touched, split equally over its rows."""
+    counts = counts[counts > 0]
+    return np.repeat(1.0 / len(counts) / counts, counts)
+
+
 def _trunk_source(layers, mask, lam, videos, head_loss):
     """optim.minibatch_epochs' batch loss over videos under the live layers.
 
     batch_loss(rows) takes sorted rows of the videos' frames stacked in order
-    and returns (loss, grads) of head_loss(trunk, rows, weight), trunk =
-    (back, emb, ctx) at rows, with each touched video weighing 1/touched. On
-    live layers head_loss runs once per touched video, in increasing order,
-    on _trunk of its rows with weight 1/touched, and the losses and grads are
-    summed (a frozen layer's None stays None). With no embedding layer
-    training, every frame's [emb, ctx] is computed once here, block by block,
-    into one (frames, h) pair; a batch gathers its rows from it, back None,
-    and runs head_loss once with per-row weights (1/touched)/n_v on video v's
-    n_v rows.
+    and returns (loss, grads) of head_loss(trunk, rows, weights), trunk =
+    (back, emb, ctx) at rows, weights (1/touched)/n_v on the n_v rows of each
+    touched video. On live layers the touched videos are taken in order, in
+    groups whose prefixes through their last rows stack to at most
+    _STACK_ROWS frames (a longer video forms a group of its own); each group
+    runs one _trunk, one head_loss on its rows and one backward pass, and the
+    groups' losses and grads are summed (a frozen layer's None stays None).
+    The dense plans' powers table and the frames-sized arrays of the stack
+    are made once here, sized for the longest video and the largest group.
+    With no embedding layer training, every frame's [emb, ctx] is computed
+    once here, block by block, into one (frames, h) pair; a batch gathers its
+    rows from it, back None, and runs head_loss once.
     """
     offsets = np.cumsum([0, *(video.n_frames for video in videos)])
     if any(mask):
-        table = _decay_table(lam, max(video.n_frames for video in videos))
+        longest = max(video.n_frames for video in videos)
+        table = _decay_table(lam, longest)
+        bufs = _FrameBuffers(layers, min(offsets[-1], max(_STACK_ROWS, longest)))
 
         def live_batch(rows):
             cuts = np.searchsorted(rows, offsets)
-            touched = np.flatnonzero(np.diff(cuts))
+            weights = _video_shares(np.diff(cuts))
+            groups, size = [], _STACK_ROWS
+            for vi in np.flatnonzero(np.diff(cuts)):
+                n = rows[cuts[vi + 1] - 1] - offsets[vi] + 1
+                if size + n > _STACK_ROWS:
+                    groups.append([])
+                    size = 0
+                groups[-1].append(vi)
+                size += n
             loss, total = 0.0, None
-            for vi in touched:
-                at = rows[cuts[vi]:cuts[vi + 1]]
-                trunk = _trunk(layers, lam, videos[vi].features, at - offsets[vi], table)
-                part, grads = head_loss(trunk, at, 1.0 / len(touched))
+            for group in groups:
+                parts = [(videos[vi].features, rows[cuts[vi]:cuts[vi + 1]] - offsets[vi])
+                         for vi in group]
+                at = slice(cuts[group[0]], cuts[group[-1] + 1])
+                part, grads = head_loss(_trunk(layers, lam, parts, table, bufs),
+                                        rows[at], weights[at])
                 loss += part
                 if total is None:
                     total = grads
@@ -371,9 +410,7 @@ def _trunk_source(layers, mask, lam, videos, head_loss):
             emb[rows], ctx[rows] = e, c
 
     def cached_batch(rows):
-        counts = np.diff(np.searchsorted(rows, offsets))
-        counts = counts[counts > 0]
-        weights = np.repeat(1.0 / len(counts) / counts, counts)
+        weights = _video_shares(np.diff(np.searchsorted(rows, offsets)))
         return head_loss((None, emb[rows], ctx[rows]), rows, weights)
 
     return cached_batch
@@ -424,17 +461,25 @@ def _embed_backward(layers, mask, acts, d_embedding, dpre_out=None, down_out=Non
 def _selected_backward(layers, mask, back, d_phi):
     """Backprop a gradient at the batch rows of [embedding, context].
 
-    back = (acts, plan) comes from _trunk with rows; the context's adjoint
-    reaches frames 0..max(rows) only. A wholly frozen embedding gets
-    [None, ...] and may come without back.
+    back = (acts, plans, bufs) comes from _trunk, and d_phi has its rows in
+    the same order. Each video's context adjoint reaches its frames
+    0..max(rows) only; then one pass runs back through the stacked chain. A
+    wholly frozen embedding gets [None, ...] and may come without back.
     """
     if not any(mask):
         return [None] * len(layers)
-    acts, plan = back
-    h = acts[-1].shape[1]
-    d = _row_context_adjoint(plan, d_phi[:, h:])
-    d[plan[0]] += d_phi[:, :h]
-    return _embed_backward(layers, mask, acts, d)
+    acts, plans, bufs = back
+    n, h = acts[-1].shape
+    d = np.empty((n, h)) if bufs is None else bufs.d_emb[:n]
+    at = k = 0
+    for plan in plans:
+        rows = plan[0]
+        grad = d_phi[k:k + len(rows)]
+        _row_context_adjoint(plan, grad[:, h:], out=d[at:at + rows[-1] + 1])
+        d[at + rows] += grad[:, :h]
+        at, k = at + rows[-1] + 1, k + len(rows)
+    dpre, down = (None, None) if bufs is None else (bufs.dpre, bufs.down)
+    return _embed_backward(layers, mask, acts, d, dpre, down)
 
 
 def _weighted(weight, terms):
@@ -481,7 +526,7 @@ def cross_entropy_loss_and_grads(
     params.layers; frozen embedding layers get None.
     """
     idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
-    trunk = _trunk(params.layers[:-1], params.context_lambda, feats, idx)
+    trunk = _trunk(params.layers[:-1], params.context_lambda, [(feats, idx)])
     return _cross_entropy(params, trunk, np.asarray(labels)[idx], weight)
 
 
@@ -598,15 +643,18 @@ def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray, flat_idx
     np.add.at(out.reshape(-1), flat_idx.reshape(-1), values.reshape(-1))
 
 
-class _TcBuffers:
-    """The frames-sized arrays of _tc_step, for up to n_rows frames and as many
-    pairs. A step writes into their leading rows, so one set serves videos of
-    any length up to n_rows without a fresh allocation (and its page faults)
-    per step."""
+class _FrameBuffers:
+    """The frames-sized arrays of a training call, for up to n_rows frames and
+    as many pairs: the stacked input of _trunk, the embedding chain and its
+    backward pass, and _tc_step's differences. A batch or step writes into
+    their leading rows, so one set serves every batch of the call without a
+    fresh allocation (and its page faults); rows it never writes are never
+    touched."""
 
     def __init__(self, embed: Sequence[DenseLayer], n_rows: int):
         widths = [layer.out_dim for layer in embed]
         h = widths[-1]
+        self.feats = np.empty((n_rows, embed[0].in_dim))
         self.acts = [np.empty((n_rows, w)) for w in widths]
         self.dpre = [np.empty((n_rows, w)) for w in widths]
         self.down = [np.empty((n_rows, w)) for w in widths[:-1]]
@@ -618,7 +666,7 @@ class _TcBuffers:
         self.flat_idx = np.empty((n_rows, h), dtype=np.int64)
 
 
-def _tc_step(embed, mask, feats, pairs, margin: float, bufs: _TcBuffers):
+def _tc_step(embed, mask, feats, pairs, margin: float, bufs: _FrameBuffers):
     """temporal_coherence_loss_and_grads of embed on feats and int64 (P, 2)
     pairs, computed in bufs (at least max(len(feats), P) rows).
 
@@ -687,7 +735,7 @@ def temporal_coherence_loss_and_grads(
     """
     embed = params.layers[:-1]
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    bufs = _TcBuffers(embed, max(len(feats), len(pairs)))
+    bufs = _FrameBuffers(embed, max(len(feats), len(pairs)))
     return _tc_step(embed, params.trainable_mask[:-1], feats, pairs, margin, bufs)
 
 
@@ -711,7 +759,7 @@ def tc_pretrain(
     rng = np.random.default_rng(config.seed)
     opt = make_optimizer(config)
     embed = out.layers[:-1]
-    bufs = _TcBuffers(embed, max((video.n_frames for video in videos), default=0))
+    bufs = _FrameBuffers(embed, max((video.n_frames for video in videos), default=0))
     for epoch in range(config.epochs):
         for vi in rng.permutation(len(videos)):
             video = videos[int(vi)]

@@ -320,7 +320,7 @@ def rsd_loss_and_grads(
     idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
     head_loss = _stacked_loss(params, [video], loss_name, target_kind, corridor,
                               None if aux_target is None else {video.id: aux_target}, aux_weight)
-    return head_loss(_trunk(params.embed, params.context_lambda, video.features, idx),
+    return head_loss(_trunk(params.embed, params.context_lambda, [(video.features, idx)]),
                      idx, weight)
 
 

@@ -24,7 +24,7 @@ from segrsd.appearance import (
     _add_rows_at,
     _cross_entropy,
     _tc_step,
-    _TcBuffers,
+    _FrameBuffers,
     _row_context,
     _row_context_adjoint,
     _row_plan,
@@ -594,6 +594,77 @@ class TestFrozenEmbedding:
         assert isinstance(opt, optim.Adam) and set(opt._state) == {1}
 
 
+def _live_batch_setup(rng, sizes, picks):
+    """Videos of the given frame counts, picks[i] sorted frames of video i (k
+    random ones, k = picks[i]), their rows in the stack of all frames, and
+    each picked video's prefix length through its last pick."""
+    videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i) for i, n in enumerate(sizes)]
+    starts = np.cumsum([0, *sizes])
+    picked = [np.sort(rng.choice(n, size=k, replace=False)) for n, k in zip(sizes, picks)]
+    rows = np.concatenate([at + start for at, start in zip(picked, starts)])
+    return videos, picked, rows, [at[-1] + 1 if len(at) else 0 for at in picked]
+
+
+class TestLiveBatch:
+    """Live layers: one stacked trunk, head pass and backward pass per group."""
+
+    @pytest.mark.parametrize("bound", ["default", "split"])
+    def test_stacked_batch_matches_per_video_path(self, monkeypatch, bound):
+        # videos of dense and segment-form plans, one untouched; in one group,
+        # or split after the first video: against one
+        # cross_entropy_loss_and_grads call per touched video, weight 1/touched
+        rng = np.random.default_rng(3)
+        params = init_appearance(rng, 3, [4, 5], 3, 0.9)
+        params.trainable_mask = [False, True, True]
+        videos, picked, rows, prefix = _live_batch_setup(rng, (181, 2, 1800, 40), (50, 0, 300, 40))
+        if bound == "split":
+            monkeypatch.setattr(appearance, "_STACK_ROWS", prefix[2] + prefix[3])
+        labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
+        want_loss, want = 0.0, None
+        for vi in (0, 2, 3):
+            part, grads = cross_entropy_loss_and_grads(
+                params, videos[vi].features, labels[vi], picked[vi], weight=1.0 / 3,
+            )
+            want_loss += part
+            want = grads if want is None else [
+                None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
+            ]
+        groups = []
+        trunk = appearance._trunk
+        monkeypatch.setattr(appearance, "_trunk",
+                            lambda *args: groups.append(len(args[2])) or trunk(*args))
+        stacked = np.concatenate(labels)
+        batch_loss = _trunk_source(
+            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
+            lambda trunk, rows, weight: _cross_entropy(params, trunk, stacked[rows], weight),
+        )
+        got_loss, got = batch_loss(rows)
+        assert groups == ([3] if bound == "default" else [1, 2])
+        assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+        assert got[0] is None and want[0] is None
+        for g, w in zip(got[1:], want[1:]):
+            assert grad_rel_error([g], [w]) <= 1e-14
+
+    def test_batches_after_the_first_allocate_no_stack(self):
+        # the stack, the chain and the backward pass write into buffers held
+        # for the training call: a batch's peak stays below one frames-sized
+        # array of the stacked prefixes
+        rng = np.random.default_rng(4)
+        params = init_appearance(rng, 3, [32], 3, 0.9)
+        videos = [make_video(f"v{i}", n_frames=200, n_features=3, seed=i) for i in range(3)]
+        # four rows of each video, its last frame among them: a 600-frame stack
+        rows = np.concatenate([start + np.array([10, 50, 120, 199]) for start in (0, 200, 400)])
+        labels = rng.integers(0, 3, size=600)
+        batch_loss = _trunk_source(
+            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
+            lambda trunk, rows, weight: _cross_entropy(params, trunk, labels[rows], weight),
+        )
+        first = batch_loss(rows)
+        again, peak = peak_bytes(batch_loss, rows)
+        assert again[0] == first[0]
+        assert peak < 600 * 32 * 8
+
+
 class TestCoherenceLoss:
     def test_constant_features_only_repulsion(self):
         params = init_appearance(np.random.default_rng(0), 3, [4], 2)
@@ -723,7 +794,7 @@ class TestCoherenceKernel:
         # the same video on buffers larger than it, right after a longer
         # video has filled them: no stale row may leak into the result
         embed, mask = params.layers[:-1], params.trainable_mask[:-1]
-        bufs = _TcBuffers(embed, 2000)
+        bufs = _FrameBuffers(embed, 2000)
         long_feats = np.random.default_rng(0).standard_normal((1900, 12))
         long_pairs = sample_distant_pairs(1900, 1900, 30, np.random.default_rng(1))
         _tc_step(embed, mask, long_feats, long_pairs, 1.0, bufs)
@@ -898,9 +969,10 @@ class TestTrainAppearance:
                 np.testing.assert_allclose(got, before - cfg.learning_rate * mean_grad,
                                            rtol=1e-12, atol=1e-14)
 
-    def test_live_layers_equal_the_per_video_loop(self):
-        # live layers keep one loss call per touched video: the weights equal
-        # the old loop's to the last bit
+    def test_live_layers_match_the_per_video_loop(self):
+        # live layers run one stacked trunk and head pass per batch, with
+        # per-row weights (1/touched)/n_v: the weights match the old loop's,
+        # one loss call per touched video with weight 1/touched, to rounding
         videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
                   for i, n in enumerate((18, 70, 31))]
         labels = {v.id: np.arange(v.n_frames) * 3 // v.n_frames for v in videos}
@@ -921,8 +993,9 @@ class TestTrainAppearance:
                                   np.random.default_rng(cfg.seed), video_loss):
             pass
         for got, ref in zip(out.layers, want.layers):
-            np.testing.assert_array_equal(got.weights, ref.weights)
-            np.testing.assert_array_equal(got.bias, ref.bias)
+            for g, w in ((got.weights, ref.weights), (got.bias, ref.bias)):
+                assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+        np.testing.assert_array_equal(out.layers[0].weights, params.layers[0].weights)
         assert not np.array_equal(out.layers[1].weights, params.layers[1].weights)
 
     def test_non_finite_loss_raises(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segrsd import appearance
 from segrsd.appearance import DenseLayer, TrainConfig, _trunk_source
 from segrsd.errors import NumericalError
 from segrsd.optim import add_l2, minibatch_epochs
@@ -55,14 +56,17 @@ class TestMinibatchEpochs:
                 vi: list(range(n)) for vi, n in enumerate(self.N_FRAMES)
             }
 
-    def test_touched_videos_share_the_batch_equally(self):
-        # the trainers' batch loss: live layers make one call per touched
-        # video, in increasing order, with weight 1/touched; a frozen
-        # embedding makes one call with per-row weights (1/touched)/n_v
+    def test_touched_videos_share_the_batch_equally(self, monkeypatch):
+        # the trainers' batch loss makes one head call per batch, with per-row
+        # weights (1/touched)/n_v on the n_v rows of each touched video; live
+        # layers make one per group of touched videos, in order, whose
+        # prefixes through their last rows stack to at most _STACK_ROWS frames
         videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
                   for i, n in enumerate(self.N_FRAMES)]
         starts = np.cumsum([0, *self.N_FRAMES])
-        for frozen in (False, True):
+        for frozen, bound in ((True, None), (False, None), (False, 8)):
+            if bound is not None:
+                monkeypatch.setattr(appearance, "_STACK_ROWS", bound)
             heads = []
 
             def head_loss(trunk, rows, weight):
@@ -82,19 +86,20 @@ class TestMinibatchEpochs:
             for rows, batch in zip(calls[0], heads):
                 video_of = np.searchsorted(starts, rows, side="right") - 1
                 touched = sorted(set(video_of.tolist()))
-                if frozen:
-                    [(got_rows, weight)] = batch
-                    np.testing.assert_array_equal(got_rows, rows)
-                    for vi in touched:
-                        share = weight[video_of == vi]
-                        assert (share == 1.0 / len(touched) / len(share)).all()
-                else:
-                    assert [w for _, w in batch] == [1.0 / len(touched)] * len(touched)
-                    owners = [set((np.searchsorted(starts, r, side="right") - 1).tolist())
-                              for r, _ in batch]
-                    assert owners == [{vi} for vi in touched]
-                    np.testing.assert_array_equal(np.concatenate([r for r, _ in batch]), rows)
+                np.testing.assert_array_equal(np.concatenate([r for r, _ in batch]), rows)
+                weight = np.concatenate([w for _, w in batch])
+                for vi in touched:
+                    share = weight[video_of == vi]
+                    assert (share == 1.0 / len(touched) / len(share)).all()
+                if bound is None:
+                    assert len(batch) == 1
+                for group, _ in batch:
+                    owner = np.searchsorted(starts, group, side="right") - 1
+                    prefixes = [group[owner == vi].max() - starts[vi] + 1 for vi in set(owner)]
+                    assert len(prefixes) == 1 or sum(prefixes) <= appearance._STACK_ROWS
             assert [len(rows) for rows in calls[0]] == [4, 4, 4, 3]
+            if bound is not None:
+                assert max(len(batch) for batch in heads) > 1
 
     def test_yields_mean_batch_loss(self):
         losses, _ = self._run(15, batch_size=4, part_loss=2.5)

@@ -659,6 +659,54 @@ class TestFrozenEmbedding:
         assert mae_of(params, corpus.by_split("val")) == min(h[2] for h in hist)
 
 
+class TestLiveBatch:
+    """Live layers: one stacked trunk, head pass and backward pass per group."""
+
+    @pytest.mark.parametrize("bound", ["default", "split"])
+    @pytest.mark.parametrize("case", TestSelectedRows.CASES)
+    def test_stacked_batch_matches_per_video_path(self, monkeypatch, case, bound):
+        # videos of dense and segment-form plans, one untouched; in one group,
+        # or split after the first video: against one rsd_loss_and_grads call
+        # per touched video with weight 1/touched
+        loss, aux_kind, target_kind = case
+        setups = [TestSelectedRows._setup(n_frames, aux_kind, target_kind, seed)
+                  for seed, n_frames in enumerate((181, 2, 1800, 40))]
+        params = setups[0][0]
+        videos = [dataclasses.replace(video, id=f"v{i}") for i, (_, video, _) in enumerate(setups)]
+        aux_targets = [aux for _, _, aux in setups]
+        starts = np.cumsum([0, *(v.n_frames for v in videos)])
+        rng = np.random.default_rng(len(loss + aux_kind + target_kind))
+        picked = [np.sort(rng.choice(v.n_frames, size=k, replace=False))
+                  for v, k in zip(videos, (50, 0, 300, 40))]
+        rows = np.concatenate([at + start for at, start in zip(picked, starts)])
+        if bound == "split":
+            monkeypatch.setattr(appearance, "_STACK_ROWS", picked[2][-1] + picked[3][-1] + 2)
+
+        want_loss, want = 0.0, None
+        for vi in (0, 2, 3):
+            part, grads = rsd_loss_and_grads(
+                params, videos[vi], loss, CORR, frame_indices=picked[vi],
+                aux_target=aux_targets[vi], aux_weight=0.7, weight=1.0 / 3,
+                target_kind=target_kind,
+            )
+            want_loss += part
+            want = grads if want is None else [[w[0] + g[0], w[1] + g[1]]
+                                               for w, g in zip(want, grads)]
+        groups = []
+        trunk = appearance._trunk
+        monkeypatch.setattr(appearance, "_trunk",
+                            lambda *args: groups.append(len(args[2])) or trunk(*args))
+        batch_loss = _trunk_source(
+            params.embed, params.trainable_mask[:1], params.context_lambda, videos,
+            _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind),
+        )
+        got_loss, got = batch_loss(rows)
+        assert groups == ([3] if bound == "default" else [1, 2]), case
+        assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
+        for g, w in zip(got, want):
+            assert grad_rel_error([g], [w]) <= 1e-14, case
+
+
 def _rsd_corpus(seed=0, n_videos=8, period=6.0, frames=(20, 41)):
     """Remaining time is linearly decodable from the first feature column;
     frame counts are drawn from the half-open range frames."""
@@ -872,9 +920,10 @@ class TestTrainRsd:
         for la, lb in zip(a.layer_list(), b.layer_list()):
             np.testing.assert_array_equal(la.weights, lb.weights)
 
-    def test_single_task_equals_the_per_video_loop(self):
-        # live layers keep one loss call per touched video: history and
-        # best-val weights equal the old loop's to the last bit
+    def test_single_task_matches_the_per_video_loop(self):
+        # live layers run one stacked trunk and head pass per batch, with
+        # per-row weights (1/touched)/n_v: history and best-val weights match
+        # the old loop's, one loss call per touched video, to rounding
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=4, batch_size=64, seed=3)
@@ -896,10 +945,13 @@ class TestTrainRsd:
             want_hist.append((epoch, loss, mae_of(params, val)))
             if want is None or want_hist[-1][2] < min(h[2] for h in want_hist[:-1]):
                 want = copy.deepcopy(params)
-        assert got_hist == want_hist
+        assert [h[0] for h in got_hist] == [h[0] for h in want_hist]
+        for (_, got_loss, got_mae), (_, want_loss, want_mae) in zip(got_hist, want_hist):
+            assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+            assert abs(got_mae - want_mae) <= 1e-14 * abs(want_mae)
         for g, w in zip(got.layer_list(), want.layer_list()):
-            np.testing.assert_array_equal(g.weights, w.weights)
-            np.testing.assert_array_equal(g.bias, w.bias)
+            for a, b in ((g.weights, w.weights), (g.bias, w.bias)):
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
     def test_progress_history_scores_progress(self, monkeypatch):
         # a progress model's val_mae is its MAE against prog(t), per epoch
