@@ -273,6 +273,8 @@ def _cmd_train_rsd(args) -> int:
                     "seed": args.seed},
     )
     lines = [f"epoch={e} loss={l:.6f} val_mae={m:.6f}" for e, l, m in history]
+    for line in lines:
+        print(line)
     lines.append(f"test_mae={test_mae:.4f}")
     lines.append(f"naive_mae={naive_mae:.4f}")
     (out / f"rsd_{args.pipeline}_{args.aux}_{args.loss}_report.txt").write_text(
@@ -356,7 +358,6 @@ def _cmd_baselines(args) -> int:
                     params, _ = train_rsd(
                         corpus, init, mode, loss, config, corridor,
                         hidden_dim=args.hidden, n_subactivities=args.k,
-                        verbose=False,
                     )
                     maes.append(mae_of(params, test))
                 cells[(aux, pipeline)] = summarize(maes)

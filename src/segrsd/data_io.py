@@ -363,6 +363,22 @@ def _unpack_layers(prefix: str, count: int, arrays: dict) -> list[DenseLayer]:
     ]
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+# a seg checkpoint's scalar metadata: key -> (check, what a valid value is)
+_SEG_SCALARS = {
+    "iteration": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "tc_score": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "nu0": (lambda v: _is_number(v) and 0 < v < np.inf, "a finite positive number"),
+    "r0": (lambda v: _is_number(v) and 0 <= v < np.inf, "a finite non-negative number"),
+    "alpha0": (lambda v: _is_number(v) and 0 < v < np.inf, "a finite positive number"),
+    "video_ids": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                  "a list of strings"),
+}
+
+
 def save_seg_checkpoint(ckpt: SegCheckpoint, path) -> None:
     app = ckpt.appearance
     meta = {
@@ -389,6 +405,9 @@ def load_seg_checkpoint(path, expect_feature_dim: int | None = None) -> SegCheck
     _, meta, arrays = _read_container(path, _KIND_SEG)
     with _data_errors(path):
         layers = _unpack_layers("layer", meta["n_layers"], arrays)
+        for key, (valid, what) in _SEG_SCALARS.items():
+            if not valid(meta[key]):
+                raise ValueError(f"{key} is not {what}: {meta[key]!r}")
         app = AppearanceParams(
             layers, [bool(b) for b in meta["trainable_mask"]], meta["context_lambda"]
         )

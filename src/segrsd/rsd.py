@@ -450,11 +450,13 @@ def train_rsd(
     aux_weight: float = 1.0,
     n_subactivities: int = 10,
     target_kind: str = "duration",
-    verbose: bool = True,
+    verbose: bool = False,
 ):
     """Train one pipeline; returns (best-val params, history rows).
 
-    History rows are (epoch, train_loss, val_mae). The returned parameters
+    History rows are (epoch, train_loss, val_mae); training prints nothing,
+    and the caller reports the history (verbose is accepted and ignored, for
+    callers written when training printed it). The returned parameters
     are the snapshot with the lowest validation MAE. A non-finite loss stops
     training and returns the best parameters seen so far. Each epoch's val
     MAE is mae_minutes over predict_video of the val videos (of the train
@@ -512,8 +514,6 @@ def train_rsd(
             preds = {v.id: predict_video(params, v) for v in val_set}
             mae = mae_minutes(preds, val_set, TARGETS[target_kind])
             history.append((epoch, loss, mae))
-            if verbose:
-                print(f"epoch={epoch} loss={loss:.6f} val_mae={mae:.6f}")
             if mae < best_mae:
                 best_mae = mae
                 best = copy.deepcopy(params)
@@ -550,7 +550,7 @@ def build_aux_init(
         mode = PipelineMode("single_task", "none")
         params, _ = train_rsd(
             corpus, None, mode, "smoothl1", config, corridor,
-            hidden_dim=hidden_dim, target_kind="progress", verbose=False,
+            hidden_dim=hidden_dim, target_kind="progress",
         )
         return AuxInit(copy.deepcopy(params.embed), params.context_lambda, None)
     raise ValueError(f"aux task {aux_task!r} does not define a transfer")

@@ -424,6 +424,12 @@ class TestExitCodes:
         ("single/rsd_single_none_smoothl1.ckpt", "output_scale", "x"),
         ("single/rsd_single_none_smoothl1.ckpt", "output_scale", -1.0),
         ("single/rsd_single_none_smoothl1.ckpt", "output_scale", True),
+        ("seg/segmentation.ckpt", "tc_score", "x"),
+        ("seg/segmentation.ckpt", "video_ids", 5),
+        ("seg/segmentation.ckpt", "iteration", "x"),
+        ("seg/segmentation.ckpt", "nu0", "x"),
+        ("seg/segmentation.ckpt", "r0", "x"),
+        ("seg/segmentation.ckpt", "alpha0", -1.0),
     ])
     def test_data_error_checkpoint_scalar(self, workspace, tmp_path, capsys,
                                           checkpoint, key, value):

@@ -428,7 +428,7 @@ class TestGradients:
         corpus = _rsd_corpus()
         with pytest.raises(ValueError, match="remaining minutes only"):
             train_rsd(corpus, None, PipelineMode("single_task"), "corr", TrainConfig(epochs=1),
-                      CORR, target_kind="progress", verbose=False)
+                      CORR, target_kind="progress")
 
 
 class TestSelectedRows:
@@ -648,7 +648,7 @@ class TestFrozenEmbedding:
         cfg = TrainConfig(learning_rate=1e-2, epochs=4, seed=1)
         params, hist = train_rsd(
             corpus, init, PipelineMode("feature_extraction", "uniform"),
-            "corr", cfg, corr, verbose=False,
+            "corr", cfg, corr,
         )
         for got, given in zip(params.embed, init.embed):
             np.testing.assert_array_equal(got.weights, given.weights)
@@ -739,8 +739,8 @@ class TestTrainRsd:
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=0, seed=3)
         mode = PipelineMode("single_task", "none")
-        a, hist = train_rsd(corpus, None, mode, "smoothl1", cfg, corr, verbose=False)
-        b, _ = train_rsd(corpus, None, mode, "smoothl1", cfg, corr, verbose=False)
+        a, hist = train_rsd(corpus, None, mode, "smoothl1", cfg, corr)
+        b, _ = train_rsd(corpus, None, mode, "smoothl1", cfg, corr)
         assert hist == []
         for la, lb in zip(a.layer_list(), b.layer_list()):
             np.testing.assert_array_equal(la.weights, lb.weights)
@@ -751,7 +751,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=1)
         with pytest.raises(ValueError):
             train_rsd(corpus, None, PipelineMode("feature_extraction", "uniform"),
-                      "smoothl1", cfg, corr, verbose=False)
+                      "smoothl1", cfg, corr)
 
     def test_feature_extraction_freezes_embedding(self):
         corpus = _rsd_corpus()
@@ -761,7 +761,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, seed=1)
         params, _ = train_rsd(
             corpus, init, PipelineMode("feature_extraction", "uniform"),
-            "smoothl1", cfg, corr, verbose=False,
+            "smoothl1", cfg, corr,
         )
         np.testing.assert_array_equal(params.embed[0].weights, init.embed[0].weights)
         np.testing.assert_array_equal(params.embed[0].bias, init.embed[0].bias)
@@ -787,12 +787,12 @@ class TestTrainRsd:
         init = AuxInit([init_dense(np.random.default_rng(5), 3, 6)], context_lambda=0.9)
         cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, seed=1)
         _, hist = train_rsd(corpus, init, PipelineMode("feature_extraction", "uniform"),
-                            "smoothl1", cfg, corr, verbose=False)
+                            "smoothl1", cfg, corr)
         assert len(hist) == epochs
         assert sorted(whole) == sorted(v.id for v in [*train, *[val] * epochs])
         whole.clear()
         _, hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
-                            "smoothl1", cfg, corr, verbose=False)
+                            "smoothl1", cfg, corr)
         assert len(hist) == epochs
         assert whole == [val.id] * epochs
 
@@ -805,7 +805,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-1, epochs=2, optimizer="sgd", seed=2)
         params, _ = train_rsd(
             corpus, init, PipelineMode("pretraining", "uniform"),
-            "smoothl1", cfg, corr, verbose=False,
+            "smoothl1", cfg, corr,
         )
         np.testing.assert_array_equal(params.embed[0].weights, init.embed[0].weights)
         assert not np.array_equal(params.embed[1].weights, init.embed[1].weights)
@@ -819,7 +819,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=1)
         with pytest.raises(DataFormatError):
             train_rsd(corpus, init, PipelineMode("regularization", "learned_seg"),
-                      "smoothl1", cfg, corr, verbose=False)
+                      "smoothl1", cfg, corr)
 
     def test_regularization_phase_needs_phase_labels(self):
         corpus = _rsd_corpus()  # videos carry no phase labels
@@ -827,7 +827,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=1)
         with pytest.raises(DataFormatError):
             train_rsd(corpus, None, PipelineMode("regularization", "phase"),
-                      "smoothl1", cfg, corr, verbose=False)
+                      "smoothl1", cfg, corr)
 
     def test_regularization_uniform_builds_aux_head(self):
         corpus = _rsd_corpus()
@@ -835,7 +835,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, seed=4)
         params, hist = train_rsd(
             corpus, None, PipelineMode("regularization", "uniform"),
-            "smoothl1", cfg, corr, n_subactivities=5, verbose=False,
+            "smoothl1", cfg, corr, n_subactivities=5,
         )
         assert params.aux_kind == "classes"
         assert params.aux_head.out_dim == 5
@@ -847,7 +847,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=8, seed=5)
         params, hist = train_rsd(
             corpus, None, PipelineMode("single_task", "none"),
-            "smoothl1", cfg, corr, verbose=False,
+            "smoothl1", cfg, corr,
         )
         val = corpus.by_split("val")
         assert mae_of(params, val) == pytest.approx(min(h[2] for h in hist))
@@ -867,7 +867,7 @@ class TestTrainRsd:
             init = AuxInit([init_dense(np.random.default_rng(5), 3, 6)], context_lambda=0.9)
             mode = PipelineMode(pipeline, "uniform")
         cfg = TrainConfig(learning_rate=1e-2, epochs=3, seed=2)
-        params, hist = train_rsd(corpus, init, mode, "smoothl1", cfg, corr, verbose=False)
+        params, hist = train_rsd(corpus, init, mode, "smoothl1", cfg, corr)
         assert params.trainable_mask[0] == (pipeline == "single_task")
         assert mae_of(params, [val]) == min(h[2] for h in hist)
 
@@ -879,19 +879,18 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=1)
         with pytest.raises(DataFormatError) as err:
             train_rsd(corpus, init, PipelineMode("regularization", "learned_seg"),
-                      "smoothl1", cfg, CorridorParams.from_corpus(corpus), verbose=False)
+                      "smoothl1", cfg, CorridorParams.from_corpus(corpus))
         assert str(err.value) == f"checkpoint lacks labels for videos {[train[0].id]}"
 
-    def test_history_line_format(self, capsys):
+    def test_training_prints_nothing(self, capsys):
+        # the CLI prints the returned history (TestEndToEnd pins its lines)
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, seed=0)
-        train_rsd(corpus, None, PipelineMode("single_task", "none"),
-                  "smoothl1", cfg, corr, verbose=True)
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("epoch=0 loss=")
-        assert " val_mae=" in lines[1]
+        _, hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
+                            "smoothl1", cfg, corr)
+        assert len(hist) == 2
+        assert capsys.readouterr().out == ""
 
     def test_non_finite_loss_returns_best_so_far(self, caplog):
         # SGD with learning_rate * l2_weight = 1000 multiplies the weights by
@@ -902,7 +901,7 @@ class TestTrainRsd:
                           l2_weight=1.0, optimizer="sgd", seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             params, hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
-                                     "smoothl1", cfg, corr, verbose=False)
+                                     "smoothl1", cfg, corr)
         assert 0 < len(hist) < cfg.epochs
         assert [h[0] for h in hist] == list(range(len(hist)))
         assert all(np.isfinite(h[1]) for h in hist)
@@ -914,8 +913,8 @@ class TestTrainRsd:
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=3, seed=8)
         mode = PipelineMode("single_task", "none")
-        a, ha = train_rsd(corpus, None, mode, "corr", cfg, corr, verbose=False)
-        b, hb = train_rsd(corpus, None, mode, "corr", cfg, corr, verbose=False)
+        a, ha = train_rsd(corpus, None, mode, "corr", cfg, corr)
+        b, hb = train_rsd(corpus, None, mode, "corr", cfg, corr)
         assert ha == hb
         for la, lb in zip(a.layer_list(), b.layer_list()):
             np.testing.assert_array_equal(la.weights, lb.weights)
@@ -928,7 +927,7 @@ class TestTrainRsd:
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=4, batch_size=64, seed=3)
         got, got_hist = train_rsd(corpus, None, PipelineMode("single_task", "none"),
-                                  "corr", cfg, corr, verbose=False)
+                                  "corr", cfg, corr)
 
         rng = np.random.default_rng(cfg.seed)
         params = init_rsd(rng, corpus.feature_dim, hidden_dim=32, output_scale=corr.scale)
@@ -967,7 +966,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=3, seed=2)
         params, hist = train_rsd(
             corpus, None, PipelineMode("single_task", "none"), "smoothl1", cfg,
-            CorridorParams.from_corpus(corpus), target_kind="progress", verbose=False,
+            CorridorParams.from_corpus(corpus), target_kind="progress",
         )
         assert params.output_scale == 1.0
         assert len(hist) == len(snapshots) == 3
@@ -990,7 +989,7 @@ class TestTrainRsd:
         cfg = TrainConfig(learning_rate=1e-2, epochs=120, batch_size=384, seed=0)
         params, _ = train_rsd(
             corpus, None, PipelineMode("single_task", "none"),
-            "smoothl1", cfg, corr, hidden_dim=8, verbose=False,
+            "smoothl1", cfg, corr, hidden_dim=8,
         )
         test_videos = corpus.by_split("test")
         trained = mae_of(params, test_videos)
