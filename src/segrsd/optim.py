@@ -8,10 +8,11 @@ stay bit-identical and no optimizer state is made for them.
 once per batch, on the batch's rows of the training frames stacked in video
 order. The classifier and the duration regressor differ only in the head and
 loss they hand `appearance._trunk_source`, which returns that batch loss: on
-live layers it embeds each touched video through its last selected frame and
-computes the causal context at the selected frames only, so a batch never
-scans a whole prefix; on a frozen embedding it reads every row from one
-cache of the training frames and runs the head once.
+live layers it stacks the touched videos' frames through each one's last
+selected frame, runs one embedding pass, one head pass and one backward pass
+per group of them, and computes the causal context at the selected frames
+only, so a batch never scans a whole prefix; on a frozen embedding it reads
+every row from one cache of the training frames and runs the head once.
 """
 from __future__ import annotations
 
