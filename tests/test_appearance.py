@@ -594,17 +594,6 @@ class TestFrozenEmbedding:
         assert isinstance(opt, optim.Adam) and set(opt._state) == {1}
 
 
-def _live_batch_setup(rng, sizes, picks):
-    """Videos of the given frame counts, picks[i] sorted frames of video i (k
-    random ones, k = picks[i]), their rows in the stack of all frames, and
-    each picked video's prefix length through its last pick."""
-    videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i) for i, n in enumerate(sizes)]
-    starts = np.cumsum([0, *sizes])
-    picked = [np.sort(rng.choice(n, size=k, replace=False)) for n, k in zip(sizes, picks)]
-    rows = np.concatenate([at + start for at, start in zip(picked, starts)])
-    return videos, picked, rows, [at[-1] + 1 if len(at) else 0 for at in picked]
-
-
 class TestLiveBatch:
     """Live layers: one stacked trunk, head pass and backward pass per group."""
 
@@ -616,9 +605,14 @@ class TestLiveBatch:
         rng = np.random.default_rng(3)
         params = init_appearance(rng, 3, [4, 5], 3, 0.9)
         params.trainable_mask = [False, True, True]
-        videos, picked, rows, prefix = _live_batch_setup(rng, (181, 2, 1800, 40), (50, 0, 300, 40))
+        videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
+                  for i, n in enumerate((181, 2, 1800, 40))]
+        starts = np.cumsum([0, *(v.n_frames for v in videos)])
+        picked = [np.sort(rng.choice(v.n_frames, size=k, replace=False))
+                  for v, k in zip(videos, (50, 0, 300, 40))]
+        rows = np.concatenate([at + start for at, start in zip(picked, starts)])
         if bound == "split":
-            monkeypatch.setattr(appearance, "_STACK_ROWS", prefix[2] + prefix[3])
+            monkeypatch.setattr(appearance, "_STACK_ROWS", picked[2][-1] + picked[3][-1] + 2)
         labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
         want_loss, want = 0.0, None
         for vi in (0, 2, 3):
