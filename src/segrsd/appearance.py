@@ -189,7 +189,7 @@ def _decay_table(lam: float, n: int):
     return powers, sliding_window_view(flat, n)[:, ::-1]
 
 
-def _row_plan(rows, lam: float, table=None):
+def _row_plan(rows, lam: float, table):
     """Bookkeeping of the context at sorted distinct rows i_1 < ... < i_K.
 
     context_accumulate gives ctx_t = (1-lam) sum_{s<=t} lam**(t-s) e_s
@@ -198,7 +198,7 @@ def _row_plan(rows, lam: float, table=None):
     sum_{j<=k} lam**(i_k-i_j) S_j is a scan over the K rows only, and
     ctx[i_k] = (1-lam) C_k + lam**(i_k+1) e_0. Returns (rows, form). On a
     short prefix form is the K x (i_K + 1) matrix of this linear map, rows of
-    table = _decay_table(lam, n) for some n > i_K (built here if None).
+    table = _decay_table(lam, n) for some n > i_K.
     Otherwise it is (lengths, weights, lam, head, steps): the segments' frame
     counts, the lam**(i_k-s) of every frame, lam, the (K, 1) lam**(i_k+1),
     and the (shift m, factors lam**(i_k - i_{k-m})) of a log-step scan over
@@ -217,7 +217,7 @@ def _row_plan(rows, lam: float, table=None):
     tiny = np.finfo(np.float64).eps ** 2
     n = int(rows[-1]) + 1
     if len(rows) * n <= _DENSE_ROW_WEIGHTS:
-        powers, toeplitz = table or _decay_table(lam, n)
+        powers, toeplitz = table
         # (1-lam) lam**(i_k-s) for s <= i_k, 0 after; frame 0 weighs lam**i_k
         matrix = toeplitz[rows, :n]
         matrix[:, 0] = powers[rows]
@@ -288,23 +288,18 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _leading(bufs, i: int, n: int):
-    """Rows :n of bufs[i]; None (numpy allocates) without bufs."""
-    return None if bufs is None else bufs[i][:n]
-
-
 def _embed_chain(layers: Sequence[DenseLayer], feats: np.ndarray, out=None) -> list[np.ndarray]:
     """Input and activations of each layer; layer i writes into out[i] if given."""
     acts = [np.asarray(feats, dtype=np.float64)]
     for i, layer in enumerate(layers):
         # in place: one frames-sized array per layer, not three
-        z = np.matmul(acts[-1], layer.weights.T, out=_leading(out, i, len(feats)))
+        z = np.matmul(acts[-1], layer.weights.T, out=None if out is None else out[i][:len(feats)])
         z += layer.bias
         acts.append(np.tanh(z, out=z))
     return acts
 
 
-def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table=None, bufs=None):
+def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table, bufs):
     """Embedding chain and causal context of videos at their rows; (back, emb, ctx).
 
     parts are the (feats, rows) of videos, rows sorted distinct frame
@@ -314,8 +309,9 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table=None, bufs=Non
     video's context computed at its rows alone from a plan of its own
     (_row_plan, dense plans from table). back = (acts, plans, bufs) holds the
     chain's activations, input first, and the plans for _selected_backward.
-    With bufs (_FrameBuffers) the stack, the chain and the backward pass
-    write into their leading rows. Whole videos go through _trunk_blocks.
+    The stack, the chain and the backward pass write into the leading rows
+    of bufs (_FrameBuffers). Only _trunk_source calls it; whole-video passes
+    go through _trunk_blocks.
     """
     plans = [_row_plan(rows, lam, table) for _, rows in parts]
     ends = [0]
@@ -325,9 +321,9 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table=None, bufs=Non
         feats, rows = parts[0][0][:ends[1]], plans[0][0]
     else:
         feats = np.concatenate([f[:end - at] for (f, _), at, end in zip(parts, ends, ends[1:])],
-                               out=None if bufs is None else bufs.feats[:ends[-1]])
+                               out=bufs.feats[:ends[-1]])
         rows = np.concatenate([at + rows for at, (rows, _) in zip(ends, plans)])
-    acts = _embed_chain(layers, feats, None if bufs is None else bufs.acts)
+    acts = _embed_chain(layers, feats, bufs.acts)
     e = acts[-1]
     ctx = [_row_context(plan, e[at:end]) for plan, at, end in zip(plans, ends, ends[1:])]
     return (acts, plans, bufs), e[rows], ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
@@ -361,26 +357,27 @@ def _video_shares(counts: np.ndarray) -> np.ndarray:
     return np.repeat(1.0 / len(counts) / counts, counts)
 
 
-def _trunk_source(layers, mask, lam, videos, head_loss):
+def _trunk_source(layers, mask, lam, feats, head_loss):
     """optim.minibatch_epochs' batch loss over videos under the live layers.
 
-    batch_loss(rows) takes sorted rows of the videos' frames stacked in order
-    and returns (loss, grads) of head_loss(trunk, rows, weights), trunk =
-    (back, emb, ctx) at rows, weights (1/touched)/n_v on the n_v rows of each
-    touched video. On live layers the touched videos are taken in order, in
-    groups whose prefixes through their last rows stack to at most
-    _STACK_ROWS frames (a longer video forms a group of its own); each group
-    runs one _trunk, one head_loss on its rows and one backward pass, and the
-    groups' losses and grads are summed (a frozen layer's None stays None).
-    The dense plans' powers table and the frames-sized arrays of the stack
-    are made once here, sized for the longest video and the largest group.
+    feats are the videos' (frames, features) arrays. batch_loss(rows) takes
+    sorted rows of the videos' frames stacked in order and returns (loss,
+    grads) of head_loss(trunk, rows, weights), trunk = (back, emb, ctx) at
+    rows, weights (1/touched)/n_v on the n_v rows of each touched video. On
+    live layers the touched videos are taken in order, in groups whose
+    prefixes through their last rows stack to at most _STACK_ROWS frames (a
+    longer video forms a group of its own); each group runs one _trunk, one
+    head_loss on its rows and one backward pass, and the groups' losses and
+    grads are summed (a frozen layer's None stays None). The dense plans'
+    powers table and the frames-sized arrays of the stack are made once here,
+    sized for the longest video and the largest group.
     With no embedding layer training, every frame's [emb, ctx] is computed
     once here, block by block, into one (frames, h) pair; a batch gathers its
     rows from it, back None, and runs head_loss once.
     """
-    offsets = np.cumsum([0, *(video.n_frames for video in videos)])
+    offsets = np.cumsum([0, *(len(f) for f in feats)])
     if any(mask):
-        longest = max(video.n_frames for video in videos)
+        longest = max(len(f) for f in feats)
         table = _decay_table(lam, longest)
         bufs = _FrameBuffers(layers, min(offsets[-1], max(_STACK_ROWS, longest)))
 
@@ -398,7 +395,7 @@ def _trunk_source(layers, mask, lam, videos, head_loss):
                 size += n
             loss, total = 0.0, None
             for group in groups:
-                parts = [(videos[vi].features, rows[cuts[vi]:cuts[vi + 1]] - offsets[vi])
+                parts = [(feats[vi], rows[cuts[vi]:cuts[vi + 1]] - offsets[vi])
                          for vi in group]
                 at = slice(cuts[group[0]], cuts[group[-1] + 1])
                 part, grads = head_loss(_trunk(layers, lam, parts, table, bufs),
@@ -415,8 +412,8 @@ def _trunk_source(layers, mask, lam, videos, head_loss):
 
         return live_batch
     emb, ctx = np.empty((2, offsets[-1], layers[-1].out_dim))
-    for video, at in zip(videos, offsets):
-        for start, e, c in _trunk_blocks(layers, lam, video.features):
+    for f, at in zip(feats, offsets):
+        for start, e, c in _trunk_blocks(layers, lam, f):
             rows = slice(at + start, at + start + len(e))
             emb[rows], ctx[rows] = e, c
 
@@ -444,13 +441,13 @@ def forward(params: AppearanceParams, video) -> np.ndarray:
     return out
 
 
-def _embed_backward(layers, mask, acts, d_embedding, dpre_out=None, down_out=None):
+def _embed_backward(layers, mask, acts, d_embedding, dpre_out, down_out):
     """Backprop a gradient at the embedding output through the tanh stack.
 
     Frozen layers (mask False) get None. The pass stops at the first
-    trainable layer, so nothing flows on to the input features. Given
-    dpre_out and down_out, layer i writes its pre-activation gradient into
-    dpre_out[i] and the gradient it passes down into down_out[i - 1].
+    trainable layer, so nothing flows on to the input features. Layer i
+    writes its pre-activation gradient into the leading rows of dpre_out[i]
+    and the gradient it passes down into those of down_out[i - 1].
     """
     grads = [None] * len(layers)
     first = next((i for i, m in enumerate(mask) if m), len(layers))
@@ -459,13 +456,13 @@ def _embed_backward(layers, mask, acts, d_embedding, dpre_out=None, down_out=Non
     for i in range(len(layers) - 1, first - 1, -1):
         a = acts[i + 1]
         # d * (1 - a*a), in place: one frames-sized array, not three
-        dpre = np.multiply(a, a, out=_leading(dpre_out, i, n))
+        dpre = np.multiply(a, a, out=dpre_out[i][:n])
         np.subtract(1.0, dpre, out=dpre)
         dpre *= d
         if mask[i]:
             grads[i] = [dpre.T @ acts[i], dpre.sum(axis=0)]
         if i > first:
-            d = np.matmul(dpre, layers[i].weights, out=_leading(down_out, i - 1, n))
+            d = np.matmul(dpre, layers[i].weights, out=down_out[i - 1][:n])
     return grads
 
 
@@ -474,14 +471,15 @@ def _selected_backward(layers, mask, back, d_phi):
 
     back = (acts, plans, bufs) comes from _trunk, and d_phi has its rows in
     the same order. Each video's context adjoint reaches its frames
-    0..max(rows) only; then one pass runs back through the stacked chain. A
-    wholly frozen embedding gets [None, ...] and may come without back.
+    0..max(rows) only, in the leading rows of bufs.d_emb; then one pass runs
+    back through the stacked chain. A wholly frozen embedding gets
+    [None, ...] and may come without back.
     """
     if not any(mask):
         return [None] * len(layers)
     acts, plans, bufs = back
     n, h = acts[-1].shape
-    d = np.empty((n, h)) if bufs is None else bufs.d_emb[:n]
+    d = bufs.d_emb[:n]
     at = k = 0
     for plan in plans:
         rows = plan[0]
@@ -489,66 +487,47 @@ def _selected_backward(layers, mask, back, d_phi):
         _row_context_adjoint(plan, grad[:, h:], out=d[at:at + rows[-1] + 1])
         d[at + rows] += grad[:, :h]
         at, k = at + rows[-1] + 1, k + len(rows)
-    dpre, down = (None, None) if bufs is None else (bufs.dpre, bufs.down)
-    return _embed_backward(layers, mask, acts, d, dpre, down)
+    return _embed_backward(layers, mask, acts, d, bufs.dpre, bufs.down)
 
 
-def _weighted(weight, terms):
-    """(loss, row factors) of per-row loss terms: weight * mean(terms) and
-    weight / n for a scalar weight (one video's mean), sum(weight * terms)
-    and weight for per-row weights (a batch over several videos). A term's
-    gradient times its row factor is the loss's gradient."""
-    if np.ndim(weight):
-        return float((weight * terms).sum()), weight
-    return weight * float(np.mean(terms)), weight / len(terms)
-
-
-def softmax_cross_entropy(logits, labels, weight=1.0):
-    """Cross-entropy of softmax(logits) against labels, row by row: weight *
-    its mean for a scalar weight, its sum weighted by per-row weights.
-
-    Returns (loss, dlogits); dlogits has the shape of logits.
-    """
+def softmax_cross_entropy(logits, labels, weights):
+    """Cross-entropy of softmax(logits) against labels, row by row, summed
+    with per-row weights. Returns (loss, dlogits); dlogits has the shape of
+    logits."""
     targets = np.asarray(labels, dtype=np.int64)
     rows = np.arange(len(targets))
     lp = log_softmax(logits)
-    loss, factors = _weighted(weight, lp[rows, targets])
+    loss = float((weights * lp[rows, targets]).sum())
     dlogits = np.exp(lp)
     dlogits[rows, targets] -= 1.0
-    dlogits *= np.reshape(factors, (-1, 1))
+    dlogits *= np.reshape(weights, (-1, 1))
     return -loss, dlogits
 
 
-def cross_entropy_loss_and_grads(
-    params: AppearanceParams,
-    feats: np.ndarray,
-    labels: np.ndarray,
-    frame_indices=None,
-    weight: float = 1.0,
-):
-    """Mean cross-entropy over the selected frames, with analytic gradients.
+def cross_entropy_loss_and_grads(params: AppearanceParams, feats: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy over a video's frames, with analytic gradients.
 
-    frame_indices are sorted distinct frames (default: every frame).
-    Gradients flow through the context accumulator, so earlier frames of the
-    sequence contribute even when only later frames are selected. Frames
-    after the last selected one reach no loss, so the embedding runs through
-    that frame only, the context is computed at the selected rows only, and
-    the head runs on those rows. Returns (loss, grads) with grads aligned to
-    params.layers; frozen embedding layers get None.
+    It is train_appearance's batch loss on a batch of all the video's frames:
+    _trunk_source over [feats], each row weighted 1/n_frames. Gradients flow
+    through the context accumulator. Returns (loss, grads) with grads aligned
+    to params.layers; frozen embedding layers get None.
     """
-    idx = np.arange(len(labels)) if frame_indices is None else np.asarray(frame_indices)
-    trunk = _trunk(params.layers[:-1], params.context_lambda, [(feats, idx)])
-    return _cross_entropy(params, trunk, np.asarray(labels)[idx], weight)
+    labels = np.asarray(labels)
+    batch_loss = _trunk_source(
+        params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [feats],
+        lambda trunk, rows, weights: _cross_entropy(params, trunk, labels[rows], weights),
+    )
+    return batch_loss(np.arange(len(labels)))
 
 
-def _cross_entropy(params: AppearanceParams, trunk, labels, weight):
+def _cross_entropy(params: AppearanceParams, trunk, labels, weights):
     """The head and loss of cross_entropy_loss_and_grads on trunk = (back, emb,
-    ctx) at the batch rows, weighted as softmax_cross_entropy; back may be
-    None when the whole embedding is frozen."""
+    ctx) at the batch rows, with their per-row weights; back may be None
+    when the whole embedding is frozen."""
     back, emb, ctx = trunk
     head = params.layers[-1]
     phi, logits = _logits(head, emb, ctx)
-    loss, dlogits = softmax_cross_entropy(logits, labels, weight)
+    loss, dlogits = softmax_cross_entropy(logits, labels, weights)
     grads = _selected_backward(
         params.layers[:-1], params.trainable_mask[:-1], back, dlogits @ head.weights,
     )
@@ -607,11 +586,12 @@ def train_appearance(
 
     labs = np.concatenate([np.asarray(labels[v.id], dtype=np.int64) for v in videos])
 
-    def head_loss(trunk, rows, weight):
-        return _cross_entropy(out, trunk, labs[rows], weight)
+    def head_loss(trunk, rows, weights):
+        return _cross_entropy(out, trunk, labs[rows], weights)
 
     batch_loss = _trunk_source(
-        out.layers[:-1], out.trainable_mask[:-1], out.context_lambda, videos, head_loss,
+        out.layers[:-1], out.trainable_mask[:-1], out.context_lambda,
+        [v.features for v in videos], head_loss,
     )
     for _ in minibatch_epochs(
         out.layers, out.trainable_mask, len(labs), config,

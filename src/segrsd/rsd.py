@@ -40,10 +40,8 @@ from .appearance import (
     TrainConfig,
     _check_lambda,
     _selected_backward,
-    _trunk,
     _trunk_blocks,
     _trunk_source,
-    _weighted,
     init_appearance,
     init_dense,
     softmax_cross_entropy,
@@ -296,37 +294,23 @@ def predict_video(params: RsdParams, video: VideoSequence) -> np.ndarray:
 rsd_forward = predict_video
 
 
-def rsd_loss_and_grads(
-    params: RsdParams,
-    video: VideoSequence,
-    loss_name: str,
-    corridor: CorridorParams,
-    frame_indices=None,
-    aux_target=None,
-    aux_weight: float = 1.0,
-    weight: float = 1.0,
-    target_kind: str = "duration",
-):
-    """Per-video losses (mean over selected frames) with analytic gradients.
-
-    target_kind "duration" regresses remaining minutes, "progress" prog(t)
-    (used to pretrain transfer embeddings), either in the model's units:
-    params.output_scale times the target. frame_indices are sorted distinct
-    frames (default: every frame). The embedding runs through the last
-    selected frame, the context and the heads on the selected rows only.
-    Returns (loss, grads) with grads aligned to params.layer_list(); frozen
-    embedding layers get None.
+def rsd_loss_and_grads(params: RsdParams, video: VideoSequence, loss_name: str,
+                       corridor: CorridorParams):
+    """Mean duration loss over a video's frames, with analytic gradients:
+    train_rsd's batch loss (_trunk_source with _stacked_loss on the remaining
+    minutes, no aux term) on a batch of all the video's frames. Returns
+    (loss, grads) with grads aligned to params.layer_list() through the
+    duration head; frozen embedding layers get None.
     """
-    idx = np.arange(video.n_frames) if frame_indices is None else np.asarray(frame_indices)
-    head_loss = _stacked_loss(params, [video], loss_name, target_kind, corridor,
-                              None if aux_target is None else {video.id: aux_target}, aux_weight)
-    return head_loss(_trunk(params.embed, params.context_lambda, [(video.features, idx)]),
-                     idx, weight)
+    head_loss = _stacked_loss(params, [video], loss_name, "duration", corridor, None, 1.0)
+    batch_loss = _trunk_source(params.embed, params.trainable_mask[:len(params.embed)],
+                               params.context_lambda, [video.features], head_loss)
+    return batch_loss(np.arange(video.n_frames))
 
 
 def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
                   aux_targets, aux_weight):
-    """head_loss(trunk, rows, weight) of appearance._trunk_source on videos'
+    """head_loss(trunk, rows, weights) of appearance._trunk_source on videos'
     frames stacked in order, with the objective fixed here once: the target
     in the model's units, params.output_scale times TARGETS[target_kind], and
     for corr the remaining minutes the corridor weight reads."""
@@ -342,28 +326,27 @@ def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
     remaining = np.concatenate([v.remaining_min() for v in videos]) if corr else None
     aux = None if aux_targets is None else np.concatenate([aux_targets[v.id] for v in videos])
 
-    def head_loss(trunk, rows, weight):
+    def head_loss(trunk, rows, weights):
         return _rsd_loss(params, trunk, elapsed[rows], target[rows],
                          None if remaining is None else remaining[rows], corridor,
-                         None if aux is None else aux[rows], weight, aux_weight)
+                         None if aux is None else aux[rows], weights, aux_weight)
 
     return head_loss
 
 
 def _rsd_loss(params: RsdParams, trunk, elapsed, target, remaining, corridor, aux_target,
-              weight, aux_weight):
-    """The heads and losses of rsd_loss_and_grads on trunk = (back, emb, ctx)
-    and the elapsed minutes, targets, remaining minutes if corridor-weighted
-    and aux targets at the same rows; back may be None when the whole
-    embedding is frozen. A scalar weight weighs the mean over the rows,
-    per-row weights their sum (appearance._weighted)."""
+              weights, aux_weight):
+    """The heads and losses of train_rsd on trunk = (back, emb, ctx) and the
+    elapsed minutes, targets, remaining minutes if corridor-weighted, aux
+    targets and per-row weights at the same rows, each loss the weighted sum
+    of its rows' terms; back may be None when the whole embedding is frozen."""
     back, emb, ctx = trunk
     inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
     pi = 1.0
     if remaining is not None:
         pi = corridor_weight(pred / params.output_scale, elapsed, remaining, corridor)
-    loss, factors = _weighted(weight, pi * smooth_l1(pred, target, corridor.beta))
-    dpred = factors * pi * smooth_l1_grad(pred, target, corridor.beta)
+    loss = float((weights * (pi * smooth_l1(pred, target, corridor.beta))).sum())
+    dpred = weights * pi * smooth_l1_grad(pred, target, corridor.beta)
 
     # backward through the duration head
     dhidden = dpred[:, None] * params.head2.weights
@@ -376,14 +359,12 @@ def _rsd_loss(params: RsdParams, trunk, elapsed, target, remaining, corridor, au
     aux_grad = None
     if params.aux_head is not None and aux_target is not None:
         z = emb @ params.aux_head.weights.T + params.aux_head.bias
-        aux_w = aux_weight * weight
+        aux_w = aux_weight * weights
         if params.aux_kind == "classes":
             aux_loss, dz = softmax_cross_entropy(z, aux_target, aux_w)
         else:
-            aux_loss, factors = _weighted(aux_w, smooth_l1(z[:, 0], aux_target, corridor.beta))
-            dz = np.reshape(factors, (-1, 1)) * smooth_l1_grad(
-                z, aux_target[:, None], corridor.beta
-            )
+            aux_loss = float((aux_w * smooth_l1(z[:, 0], aux_target, corridor.beta)).sum())
+            dz = np.reshape(aux_w, (-1, 1)) * smooth_l1_grad(z, aux_target[:, None], corridor.beta)
         loss += aux_loss
         aux_grad = [dz.T @ inp[:, :h], dz.sum(axis=0)]
         dinp[:, :h] += dz @ params.aux_head.weights
@@ -501,7 +482,8 @@ def train_rsd(
     best = copy.deepcopy(params)
     best_mae = np.inf
     batch_loss = _trunk_source(
-        params.embed, params.trainable_mask[:n_embed], params.context_lambda, train_videos,
+        params.embed, params.trainable_mask[:n_embed], params.context_lambda,
+        [v.features for v in train_videos],
         _stacked_loss(params, train_videos, loss_name, target_kind, corridor, aux_targets,
                       aux_weight),
     )

@@ -50,6 +50,22 @@ from conftest import (
 B = appearance._BLOCK_ROWS
 
 
+def _plan(rows, lam):
+    """_row_plan of sorted rows with a powers table sized for them."""
+    rows = np.asarray(rows)
+    return _row_plan(rows, lam, appearance._decay_table(lam, rows[-1] + 1))
+
+
+def _ce_batch(params, feats, labels, scale=1.0):
+    """train_appearance's batch loss over videos' feature arrays and their
+    labels, each row's weight times scale."""
+    stacked = np.concatenate(labels)
+    return _trunk_source(
+        params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, feats,
+        lambda trunk, rows, weights: _cross_entropy(params, trunk, stacked[rows], scale * weights),
+    )
+
+
 class TestContextAccumulate:
     def test_lambda_zero_is_identity(self):
         f = np.random.default_rng(0).standard_normal((7, 3))
@@ -86,7 +102,7 @@ class TestContextAccumulate:
         rng = np.random.default_rng(4)
         f = rng.standard_normal((9, 3))
         g = rng.standard_normal((9, 3))
-        plan = _row_plan(np.arange(9), lam)
+        plan = _plan(np.arange(9), lam)
         lhs = float((context_accumulate(f, lam) * g).sum())
         rhs = float((f * _row_context_adjoint(plan, g)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -110,7 +126,7 @@ class TestContextAccumulate:
             rows = np.sort(rng.choice(n_frames, size=48, replace=False))
             dphi = rng.standard_normal((len(rows), 2 * h))
             g = rng.standard_normal((rows[-1] + 1, h))
-            plan = _row_plan(rows, lam)
+            plan = _plan(rows, lam)
             lhs = float((context_accumulate(g, lam)[rows] * dphi[:, h:]).sum())
             rhs = float((g * _row_context_adjoint(plan, dphi[:, h:])).sum())
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -155,7 +171,7 @@ class TestRowContext:
     def test_matches_whole_context_at_rows(self, case):
         e, lam, rows = _row_case(*case)
         want = context_accumulate(e, lam)[rows]
-        got = _row_context(_row_plan(rows, lam), e[:rows[-1] + 1])
+        got = _row_context(_plan(rows, lam), e[:rows[-1] + 1])
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -165,14 +181,14 @@ class TestRowContext:
         e, lam, rows = _row_case(*case)
         e = e[:rows[-1] + 1]
         g = np.random.default_rng(len(rows)).standard_normal((len(rows), e.shape[1]))
-        plan = _row_plan(rows, lam)
+        plan = _plan(rows, lam)
         lhs = float((_row_context(plan, e) * g).sum())
         adj = _row_context_adjoint(plan, g)
         assert adj.shape == e.shape
         assert lhs == pytest.approx(float((e * adj).sum()), rel=1e-12)
 
     def test_forms_cover_the_cases(self):
-        dense = [isinstance(_row_plan(_row_case(*c)[2], c[1])[1], np.ndarray) for c in ROW_CASES]
+        dense = [isinstance(_plan(_row_case(*c)[2], c[1])[1], np.ndarray) for c in ROW_CASES]
         assert dense == [True] * 6 + [False] * 6
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 0.99])
@@ -197,8 +213,9 @@ class TestRowContext:
             if len(rows) * (rows[-1] + 1) > appearance._DENSE_ROW_WEIGHTS:
                 continue
             want = index_gather(rows)
+            exact = appearance._decay_table(lam, rows[-1] + 1)
             longer = appearance._decay_table(lam, n + int(rng.integers(0, 2000)))
-            for table in (None, longer):
+            for table in (exact, longer):
                 got = _row_plan(rows, lam, table)[1]
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -208,7 +225,7 @@ class TestRowContext:
         # 96 rows of a 256-frame prefix fill the dense form's 24576 entries
         e, lam, _ = _row_case(256, 0.9, [0])
         rows = np.linspace(0, 255, n_rows).astype(np.int64)
-        plan = _row_plan(rows, lam)
+        plan = _plan(rows, lam)
         assert isinstance(plan[1], np.ndarray) == (n_rows == 96)
         want = context_accumulate(e, lam)[rows]
         assert np.abs(_row_context(plan, e) - want).max() <= 1e-14 * np.abs(want).max()
@@ -216,7 +233,7 @@ class TestRowContext:
     @pytest.mark.parametrize("rows", [[9999], [0, 9999], "sparse", "dense"])
     def test_long_video_finite_without_subnormals(self, rows):
         e, lam, rows = _row_case(10_000, 0.9, rows)
-        plan = _row_plan(rows, lam)
+        plan = _plan(rows, lam)
         ctx = _row_context(plan, e[:rows[-1] + 1])
         adj = _row_context_adjoint(plan, np.ones_like(ctx))
         form = plan[1]
@@ -235,7 +252,7 @@ class TestRowContext:
     @pytest.mark.parametrize("rows", [[], [3, 2], [1, 1, 4], [-1, 2]])
     def test_rejects_rows_not_sorted_distinct(self, rows):
         with pytest.raises(ValueError):
-            _row_plan(np.array(rows, dtype=np.int64), 0.9)
+            _row_plan(np.array(rows, dtype=np.int64), 0.9, appearance._decay_table(0.9, 5))
 
     def test_trainable_batches_scan_no_prefix(self, monkeypatch):
         # a trainable batch computes its context at the rows alone: no
@@ -336,7 +353,7 @@ class TestWholeVideoBlocks:
         before = make_video(n_frames=9, n_features=4, seed=1)
         seen = []
         batch_loss = _trunk_source(
-            embed, [False, False], 0.9, [before, video],
+            embed, [False, False], 0.9, [before.features, video.features],
             lambda trunk, rows, weight: seen.append((trunk, rows, weight)) or (0.0, []),
         )
         batch_loss(9 + np.arange(n_frames))
@@ -406,11 +423,9 @@ class TestCrossEntropyGradients:
                 rng.choice(int(t) + 4, size=int(t) + 1, replace=False)
             )
 
-            _, grads = cross_entropy_loss_and_grads(params, feats, labels, idx)
-            fd = finite_difference_grads(
-                lambda: cross_entropy_loss_and_grads(params, feats, labels, idx)[0],
-                params.layers,
-            )
+            batch_loss = _ce_batch(params, [feats], [labels])
+            _, grads = batch_loss(idx)
+            fd = finite_difference_grads(lambda: batch_loss(idx)[0], params.layers)
             assert grad_rel_error(grads, fd) < 1e-4
 
     def test_selected_frames_only(self):
@@ -425,7 +440,7 @@ class TestCrossEntropyGradients:
 
 
 class TestCrossEntropySelectedRows:
-    """Only the selected frames carry loss; the context stops at the last one."""
+    """Only the batch rows carry loss; the context stops at the last one."""
 
     @staticmethod
     def _setup(n_frames, seed=0):
@@ -441,10 +456,8 @@ class TestCrossEntropySelectedRows:
         idx = frame_subset(n_frames, subset)
         params, _, labels = self._setup(n_frames)
         video = make_video(n_frames=n_frames, n_features=3, seed=n_frames)
-        loss, _ = cross_entropy_loss_and_grads(
-            params, video.features, labels, idx, weight=0.4
-        )
         sel = np.arange(n_frames) if idx is None else idx
+        loss, _ = _ce_batch(params, [video.features], [labels], 0.4)(sel)
         probs = forward(params, video)
         expected = -0.4 * np.mean(np.log(probs[sel, labels[sel]]))
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -454,10 +467,10 @@ class TestCrossEntropySelectedRows:
     def test_frames_after_last_selected_do_not_matter(self, n_frames, subset):
         idx = frame_subset(n_frames, subset)
         params, feats, labels = self._setup(n_frames)
-        loss1, grads1 = cross_entropy_loss_and_grads(params, feats, labels, idx)
+        loss1, grads1 = _ce_batch(params, [feats], [labels])(idx)
         stop = idx.max() + 1
         feats[stop:] = np.random.default_rng(1).standard_normal(feats[stop:].shape)
-        loss2, grads2 = cross_entropy_loss_and_grads(params, feats, labels, idx)
+        loss2, grads2 = _ce_batch(params, [feats], [labels])(idx)
         assert loss1 == loss2
         for g1, g2 in zip(grads1, grads2):
             np.testing.assert_array_equal(g1[0], g2[0])
@@ -466,11 +479,9 @@ class TestCrossEntropySelectedRows:
     def test_subset_gradcheck(self):
         idx = frame_subset(181, "early")
         params, feats, labels = self._setup(181)
-        _, grads = cross_entropy_loss_and_grads(params, feats, labels, idx, weight=0.4)
-        num = finite_difference_grads(
-            lambda: cross_entropy_loss_and_grads(params, feats, labels, idx, weight=0.4)[0],
-            params.layers,
-        )
+        batch_loss = _ce_batch(params, [feats], [labels], 0.4)
+        _, grads = batch_loss(idx)
+        num = finite_difference_grads(lambda: batch_loss(idx)[0], params.layers)
         assert grad_rel_error(grads, num) < 1e-6
 
 
@@ -513,25 +524,22 @@ class TestFrozenEmbedding:
     @pytest.mark.parametrize("n_frames", [2, 181, 1800])
     @pytest.mark.parametrize("subset", ["single", "early", "all"])
     def test_cached_rows_match_uncached_loss(self, n_frames, subset):
+        # against the same batch on live layers, which runs no cache
         idx = frame_subset(n_frames, subset)
         params, video, labels = self._setup(n_frames, [False, False, True])
-        want_loss, want = cross_entropy_loss_and_grads(
-            params, video.features, labels, idx, weight=0.4
-        )
         sel = np.arange(n_frames) if idx is None else idx
-        batch_loss = _trunk_source(
-            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [video],
-            lambda trunk, rows, weight: _cross_entropy(params, trunk, labels[rows], 0.4 * weight),
-        )
-        got_loss, got = batch_loss(sel)
+        live = copy.deepcopy(params)
+        live.trainable_mask = [True, True, True]
+        want_loss, want = _ce_batch(live, [video.features], [labels], 0.4)(sel)
+        got_loss, got = _ce_batch(params, [video.features], [labels], 0.4)(sel)
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
-        assert got[:2] == want[:2] == [None, None]
+        assert got[:2] == [None, None]
         assert grad_rel_error(got[2:], want[2:]) <= 1e-14
 
     def test_one_pass_batch_matches_per_video_path(self):
         # a batch over videos of one block and of several, one video
-        # untouched: the one head pass over the gathered rows against one
-        # cross_entropy_loss_and_grads call per touched video, weight 1/touched
+        # untouched: the one head pass over the gathered rows against a
+        # one-video batch per touched video, its weights scaled by 1/touched
         params, _, _ = self._setup(2, [False, False, True])
         rng = np.random.default_rng(1)
         videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
@@ -544,19 +552,13 @@ class TestFrozenEmbedding:
 
         want_loss, want = 0.0, None
         for vi in (0, 2, 3):
-            part, grads = cross_entropy_loss_and_grads(
-                params, videos[vi].features, labels[vi], picked[vi], weight=1.0 / 3,
-            )
+            part, grads = _ce_batch(params, [videos[vi].features], [labels[vi]], 1.0 / 3)(
+                picked[vi])
             want_loss += part
             want = grads if want is None else [
                 None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
             ]
-        stacked = np.concatenate(labels)
-        batch_loss = _trunk_source(
-            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
-            lambda trunk, rows, weight: _cross_entropy(params, trunk, stacked[rows], weight),
-        )
-        got_loss, got = batch_loss(rows)
+        got_loss, got = _ce_batch(params, [v.features for v in videos], labels)(rows)
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
         assert got[:2] == want[:2] == [None, None]
         assert grad_rel_error(got[2:], want[2:]) <= 1e-14
@@ -567,10 +569,10 @@ class TestFrozenEmbedding:
         params, video, labels = self._setup(181, [True, True, True])
         idx = frame_subset(181, "early")
         pairs = sample_distant_pairs(181, 50, 30, np.random.default_rng(0))
-        _, ce_full = cross_entropy_loss_and_grads(params, video.features, labels, idx)
+        _, ce_full = _ce_batch(params, [video.features], [labels])(idx)
         _, tc_full = temporal_coherence_loss_and_grads(params, video.features, pairs)
         params.trainable_mask = [False, True, True]
-        _, ce_part = cross_entropy_loss_and_grads(params, video.features, labels, idx)
+        _, ce_part = _ce_batch(params, [video.features], [labels])(idx)
         _, tc_part = temporal_coherence_loss_and_grads(params, video.features, pairs)
         for part, full in ((ce_part, ce_full), (tc_part, tc_full)):
             assert part[0] is None
@@ -600,8 +602,8 @@ class TestLiveBatch:
     @pytest.mark.parametrize("bound", ["default", "split"])
     def test_stacked_batch_matches_per_video_path(self, monkeypatch, bound):
         # videos of dense and segment-form plans, one untouched; in one group,
-        # or split after the first video: against one
-        # cross_entropy_loss_and_grads call per touched video, weight 1/touched
+        # or split after the first video: against a one-video batch per
+        # touched video, its weights scaled by 1/touched
         rng = np.random.default_rng(3)
         params = init_appearance(rng, 3, [4, 5], 3, 0.9)
         params.trainable_mask = [False, True, True]
@@ -616,9 +618,8 @@ class TestLiveBatch:
         labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
         want_loss, want = 0.0, None
         for vi in (0, 2, 3):
-            part, grads = cross_entropy_loss_and_grads(
-                params, videos[vi].features, labels[vi], picked[vi], weight=1.0 / 3,
-            )
+            part, grads = _ce_batch(params, [videos[vi].features], [labels[vi]], 1.0 / 3)(
+                picked[vi])
             want_loss += part
             want = grads if want is None else [
                 None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
@@ -627,12 +628,7 @@ class TestLiveBatch:
         trunk = appearance._trunk
         monkeypatch.setattr(appearance, "_trunk",
                             lambda *args: groups.append(len(args[2])) or trunk(*args))
-        stacked = np.concatenate(labels)
-        batch_loss = _trunk_source(
-            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
-            lambda trunk, rows, weight: _cross_entropy(params, trunk, stacked[rows], weight),
-        )
-        got_loss, got = batch_loss(rows)
+        got_loss, got = _ce_batch(params, [v.features for v in videos], labels)(rows)
         assert groups == ([3] if bound == "default" else [1, 2])
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
         assert got[0] is None and want[0] is None
@@ -649,10 +645,7 @@ class TestLiveBatch:
         # four rows of each video, its last frame among them: a 600-frame stack
         rows = np.concatenate([start + np.array([10, 50, 120, 199]) for start in (0, 200, 400)])
         labels = rng.integers(0, 3, size=600)
-        batch_loss = _trunk_source(
-            params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, videos,
-            lambda trunk, rows, weight: _cross_entropy(params, trunk, labels[rows], weight),
-        )
+        batch_loss = _ce_batch(params, [v.features for v in videos], [labels])
         first = batch_loss(rows)
         again, peak = peak_bytes(batch_loss, rows)
         assert again[0] == first[0]
@@ -953,7 +946,7 @@ class TestTrainAppearance:
                           l2_weight=0.0, optimizer="sgd", seed=0)
         out = train_appearance(videos, labels, params, cfg)
         per_video = [
-            cross_entropy_loss_and_grads(params, v.features, labels[v.id], weight=1.0)[1]
+            cross_entropy_loss_and_grads(params, v.features, labels[v.id])[1]
             for v in videos
         ]
         for i, layer in enumerate(params.layers):
@@ -966,7 +959,7 @@ class TestTrainAppearance:
     def test_live_layers_match_the_per_video_loop(self):
         # live layers run one stacked trunk and head pass per batch, with
         # per-row weights (1/touched)/n_v: the weights match the old loop's,
-        # one loss call per touched video with weight 1/touched, to rounding
+        # one one-video batch per touched video scaled by 1/touched, to rounding
         videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i)
                   for i, n in enumerate((18, 70, 31))]
         labels = {v.id: np.arange(v.n_frames) * 3 // v.n_frames for v in videos}
@@ -979,8 +972,7 @@ class TestTrainAppearance:
 
         def video_loss(vi, idx, weight):
             video = videos[vi]
-            return cross_entropy_loss_and_grads(want, video.features, labels[video.id],
-                                                idx, weight)
+            return _ce_batch(want, [video.features], [labels[video.id]], weight)(idx)
 
         for _ in per_video_epochs(want.layers, want.trainable_mask,
                                   [v.n_frames for v in videos], cfg,

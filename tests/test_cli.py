@@ -789,11 +789,11 @@ def test_benchmark_traced_names_present(monkeypatch):
         video = make_video(n_frames=12, n_features=3)
         rsd.rsd_loss_and_grads(
             rsd.init_rsd(rng, 3, hidden_dim=4, head_dim=3), video, "smoothl1",
-            rsd.CorridorParams(t_median=1.0), frame_indices=np.array([2, 5]),
+            rsd.CorridorParams(t_median=1.0),
         )
         appearance.cross_entropy_loss_and_grads(
             appearance.init_appearance(rng, 3, [4], 2), video.features,
-            np.zeros(12, dtype=np.int64), np.array([2, 5]),
+            np.zeros(12, dtype=np.int64),
         )
     finally:
         tracer.restore()

@@ -74,7 +74,8 @@ class TestMinibatchEpochs:
                 return 0.0, [[np.zeros((2, 3)), np.zeros(2)]]
 
             trunk_batch_loss = _trunk_source(
-                [DenseLayer(np.ones((2, 3)), np.zeros(2))], [not frozen], 0.9, videos, head_loss,
+                [DenseLayer(np.ones((2, 3)), np.zeros(2))], [not frozen], 0.9,
+                [v.features for v in videos], head_loss,
             )
 
             def batch_loss(rows):

@@ -291,6 +291,18 @@ class TestPredictBlocks:
         assert peak <= minutes.nbytes + 8 * B * width * 8
 
 
+def _rsd_batch(params, videos, aux_targets, loss, target_kind, scale=1.0, corridor=CORR):
+    """train_rsd's batch loss over videos, with aux_weight 0.7 and every row's
+    weight times scale."""
+    aux = None if aux_targets[0] is None else {v.id: t for v, t in zip(videos, aux_targets)}
+    head_loss = rsd._stacked_loss(params, videos, loss, target_kind, corridor, aux, 0.7)
+    return _trunk_source(
+        params.embed, params.trainable_mask[:len(params.embed)], params.context_lambda,
+        [v.features for v in videos],
+        lambda trunk, rows, weights: head_loss(trunk, rows, scale * weights),
+    )
+
+
 class TestGradients:
     def _params(self, seed, aux_kind="none", aux_dim=0):
         return init_rsd(
@@ -338,60 +350,37 @@ class TestGradients:
             params = self._params(seed + 20, aux_kind="classes", aux_dim=4)
             video = make_video(n_frames=8, n_features=3, seed=seed, period=30.0)
             target = np.random.default_rng(seed).integers(0, 4, size=8)
-            layers = params.layer_list()
-            _, grads = rsd_loss_and_grads(
-                params, video, "smoothl1", CORR, aux_target=target, aux_weight=0.7,
-            )
-            num = finite_difference_grads(
-                lambda: rsd_loss_and_grads(
-                    params, video, "smoothl1", CORR, aux_target=target, aux_weight=0.7,
-                )[0],
-                layers,
-            )
+            batch_loss = _rsd_batch(params, [video], [target], "smoothl1", "duration")
+            _, grads = batch_loss(np.arange(8))
+            num = finite_difference_grads(lambda: batch_loss(np.arange(8))[0],
+                                          params.layer_list())
             assert grad_rel_error(grads, num) < 1e-4
 
     def test_aux_progress_gradcheck(self):
         params = self._params(30, aux_kind="progress", aux_dim=1)
         video = make_video(n_frames=8, n_features=3, seed=0, period=30.0)
         target = progress(video.elapsed_min(), video.remaining_min())
-        layers = params.layer_list()
-        _, grads = rsd_loss_and_grads(
-            params, video, "smoothl1", CORR, aux_target=target, aux_weight=0.5,
-        )
-        num = finite_difference_grads(
-            lambda: rsd_loss_and_grads(
-                params, video, "smoothl1", CORR, aux_target=target, aux_weight=0.5,
-            )[0],
-            layers,
-        )
+        batch_loss = _rsd_batch(params, [video], [target], "smoothl1", "duration")
+        _, grads = batch_loss(np.arange(8))
+        num = finite_difference_grads(lambda: batch_loss(np.arange(8))[0], params.layer_list())
         assert grad_rel_error(grads, num) < 1e-4
 
     def test_progress_target_gradcheck(self):
         params = init_rsd(np.random.default_rng(40), 3, hidden_dim=5, head_dim=4,
                           output_scale=1.0)
         video = make_video(n_frames=8, n_features=3, seed=1, period=30.0)
-        layers = params.layer_list()
-        _, grads = rsd_loss_and_grads(
-            params, video, "smoothl1", CORR, target_kind="progress",
-        )
-        num = finite_difference_grads(
-            lambda: rsd_loss_and_grads(
-                params, video, "smoothl1", CORR, target_kind="progress",
-            )[0],
-            layers,
-        )
+        batch_loss = _rsd_batch(params, [video], [None], "smoothl1", "progress")
+        _, grads = batch_loss(np.arange(8))
+        num = finite_difference_grads(lambda: batch_loss(np.arange(8))[0], params.layer_list())
         assert grad_rel_error(grads, num) < 1e-4
 
     def test_frame_subset_and_weight_scale(self):
+        # per-row weights scale the loss and its row factors alike
         params = self._params(50)
         video = make_video(n_frames=10, n_features=3, seed=2, period=30.0)
         idx = np.array([1, 4, 7])
-        loss1, grads1 = rsd_loss_and_grads(
-            params, video, "smoothl1", CORR, frame_indices=idx,
-        )
-        loss2, grads2 = rsd_loss_and_grads(
-            params, video, "smoothl1", CORR, frame_indices=idx, weight=0.5,
-        )
+        loss1, grads1 = _rsd_batch(params, [video], [None], "smoothl1", "duration")(idx)
+        loss2, grads2 = _rsd_batch(params, [video], [None], "smoothl1", "duration", 0.5)(idx)
         assert loss2 == pytest.approx(0.5 * loss1)
         for (w1, b1), (w2, b2) in zip(grads1, grads2):
             np.testing.assert_allclose(w2, 0.5 * w1, rtol=1e-12)
@@ -414,9 +403,8 @@ class TestGradients:
         params.head2.weights[:] = 0.0
         params.head2.bias[:] = video.remaining_min()[k]
         assert predict_video(params, video)[k] == video.remaining_min()[k]
-        loss, _ = rsd_loss_and_grads(
-            params, video, "smoothl1", CorridorParams(5.0), frame_indices=[k],
-        )
+        loss, _ = _rsd_batch(params, [video], [None], "smoothl1", "duration",
+                             corridor=CorridorParams(5.0))(np.array([k]))
         assert loss == 0.0
 
     def test_corr_rejects_progress_target(self):
@@ -424,7 +412,7 @@ class TestGradients:
                           output_scale=1.0)
         video = make_video(n_frames=5, n_features=3)
         with pytest.raises(ValueError, match="remaining minutes only"):
-            rsd_loss_and_grads(params, video, "corr", CORR, target_kind="progress")
+            _rsd_batch(params, [video], [None], "corr", "progress")
         corpus = _rsd_corpus()
         with pytest.raises(ValueError, match="remaining minutes only"):
             train_rsd(corpus, None, PipelineMode("single_task"), "corr", TrainConfig(epochs=1),
@@ -432,7 +420,7 @@ class TestGradients:
 
 
 class TestSelectedRows:
-    """Only the selected frames carry loss; the context stops at the last one."""
+    """Only the batch rows carry loss; the context stops at the last one."""
 
     # (loss, aux kind, target kind)
     CASES = [
@@ -461,10 +449,8 @@ class TestSelectedRows:
 
     @staticmethod
     def _call(params, video, loss, aux_target, target_kind, idx):
-        return rsd_loss_and_grads(
-            params, video, loss, CORR, frame_indices=idx, aux_target=aux_target,
-            aux_weight=0.7, weight=0.4, target_kind=target_kind,
-        )
+        rows = np.arange(video.n_frames) if idx is None else idx
+        return _rsd_batch(params, [video], [aux_target], loss, target_kind, 0.4)(rows)
 
     @staticmethod
     def _reference_loss(params, video, loss, aux_target, target_kind, idx):
@@ -537,7 +523,8 @@ class TestSelectedRows:
         # 1800 frames, rows in the first half: the context takes its segment
         # form and row scan, where 181 frames take the dense form
         idx = frame_subset(1800, "early")
-        assert not isinstance(appearance._row_plan(idx, 0.9)[1], np.ndarray)
+        table = appearance._decay_table(0.9, idx[-1] + 1)
+        assert not isinstance(appearance._row_plan(idx, 0.9, table)[1], np.ndarray)
         params, video, aux_target = self._setup(1800, "classes", "duration", 3)
         _, grads = self._call(params, video, "smoothl1", aux_target, "duration", idx)
         num = finite_difference_grads(
@@ -562,45 +549,35 @@ class TestSelectedRows:
         assert scans == [181]
 
 
-def _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind, scale=1.0):
-    """A head loss for _trunk_source over videos, as train_rsd builds it, with
-    aux_weight 0.7 and every weight times scale."""
-    aux = None if aux_targets[0] is None else {v.id: t for v, t in zip(videos, aux_targets)}
-    head_loss = rsd._stacked_loss(params, videos, loss, target_kind, CORR, aux, 0.7)
-    return lambda trunk, rows, weight: head_loss(trunk, rows, scale * weight)
-
-
 class TestFrozenEmbedding:
     """A frozen embedding gets no gradient; feature_extraction embeds it once."""
 
     @pytest.mark.parametrize("n_frames", [2, 181, 1800])
     @pytest.mark.parametrize("subset", ["single", "early", "all"])
     def test_cached_rows_match_uncached_loss(self, n_frames, subset):
+        # against the same batch on live layers, which runs no cache
         idx = frame_subset(n_frames, subset)
-        sel = np.arange(n_frames) if idx is None else idx
         for seed, (loss, aux_kind, target_kind) in enumerate(TestSelectedRows.CASES):
             params, video, aux_target = TestSelectedRows._setup(
                 n_frames, aux_kind, target_kind, seed
             )
-            params.trainable_mask[0] = False
             want_loss, want = TestSelectedRows._call(
                 params, video, loss, aux_target, target_kind, idx
             )
-            batch_loss = _trunk_source(
-                params.embed, params.trainable_mask[:1], params.context_lambda, [video],
-                _stacked_rsd_loss(params, [video], [aux_target], loss, target_kind, 0.4),
+            params.trainable_mask[0] = False
+            got_loss, got = TestSelectedRows._call(
+                params, video, loss, aux_target, target_kind, idx
             )
-            got_loss, got = batch_loss(sel)
             case = (loss, aux_kind, target_kind)
             assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
-            assert got[0] is None and want[0] is None, case
+            assert got[0] is None, case
             assert grad_rel_error(got[1:], want[1:]) <= 1e-14, case
 
     @pytest.mark.parametrize("case", TestSelectedRows.CASES)
     def test_one_pass_batch_matches_per_video_path(self, case):
         # a batch over videos of one block and of several, one video
-        # untouched: the one head pass over the gathered rows against one
-        # rsd_loss_and_grads call per touched video with weight 1/touched
+        # untouched: the one head pass over the gathered rows against a
+        # one-video batch per touched video, its weights scaled by 1/touched
         loss, aux_kind, target_kind = case
         setups = [TestSelectedRows._setup(n_frames, aux_kind, target_kind, seed)
                   for seed, n_frames in enumerate((181, 2, 1800, 40))]
@@ -618,20 +595,13 @@ class TestFrozenEmbedding:
         want_loss, want = 0.0, None
         touched = [vi for vi, at in enumerate(picked) if len(at)]
         for vi in touched:
-            part, grads = rsd_loss_and_grads(
-                params, videos[vi], loss, CORR, frame_indices=picked[vi],
-                aux_target=aux_targets[vi], aux_weight=0.7, weight=1.0 / len(touched),
-                target_kind=target_kind,
-            )
+            part, grads = _rsd_batch(params, [videos[vi]], [aux_targets[vi]], loss, target_kind,
+                                     1.0 / len(touched))(picked[vi])
             want_loss += part
             want = grads if want is None else [
                 None if w is None else [w[0] + g[0], w[1] + g[1]] for w, g in zip(want, grads)
             ]
-        batch_loss = _trunk_source(
-            params.embed, params.trainable_mask[:1], params.context_lambda, videos,
-            _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind),
-        )
-        got_loss, got = batch_loss(rows)
+        got_loss, got = _rsd_batch(params, videos, aux_targets, loss, target_kind)(rows)
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
         assert got[0] is None and want[0] is None, case
         for g, w in zip(got[1:], want[1:]):
@@ -666,8 +636,8 @@ class TestLiveBatch:
     @pytest.mark.parametrize("case", TestSelectedRows.CASES)
     def test_stacked_batch_matches_per_video_path(self, monkeypatch, case, bound):
         # videos of dense and segment-form plans, one untouched; in one group,
-        # or split after the first video: against one rsd_loss_and_grads call
-        # per touched video with weight 1/touched
+        # or split after the first video: against a one-video batch per
+        # touched video, its weights scaled by 1/touched
         loss, aux_kind, target_kind = case
         setups = [TestSelectedRows._setup(n_frames, aux_kind, target_kind, seed)
                   for seed, n_frames in enumerate((181, 2, 1800, 40))]
@@ -684,11 +654,8 @@ class TestLiveBatch:
 
         want_loss, want = 0.0, None
         for vi in (0, 2, 3):
-            part, grads = rsd_loss_and_grads(
-                params, videos[vi], loss, CORR, frame_indices=picked[vi],
-                aux_target=aux_targets[vi], aux_weight=0.7, weight=1.0 / 3,
-                target_kind=target_kind,
-            )
+            part, grads = _rsd_batch(params, [videos[vi]], [aux_targets[vi]], loss, target_kind,
+                                     1.0 / 3)(picked[vi])
             want_loss += part
             want = grads if want is None else [[w[0] + g[0], w[1] + g[1]]
                                                for w, g in zip(want, grads)]
@@ -696,11 +663,7 @@ class TestLiveBatch:
         trunk = appearance._trunk
         monkeypatch.setattr(appearance, "_trunk",
                             lambda *args: groups.append(len(args[2])) or trunk(*args))
-        batch_loss = _trunk_source(
-            params.embed, params.trainable_mask[:1], params.context_lambda, videos,
-            _stacked_rsd_loss(params, videos, aux_targets, loss, target_kind),
-        )
-        got_loss, got = batch_loss(rows)
+        got_loss, got = _rsd_batch(params, videos, aux_targets, loss, target_kind)(rows)
         assert groups == ([3] if bound == "default" else [1, 2]), case
         assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss), case
         for g, w in zip(got, want):
@@ -922,7 +885,7 @@ class TestTrainRsd:
     def test_single_task_matches_the_per_video_loop(self):
         # live layers run one stacked trunk and head pass per batch, with
         # per-row weights (1/touched)/n_v: history and best-val weights match
-        # the old loop's, one loss call per touched video, to rounding
+        # the old loop's, one one-video batch per touched video, to rounding
         corpus = _rsd_corpus()
         corr = CorridorParams.from_corpus(corpus)
         cfg = TrainConfig(learning_rate=1e-2, epochs=4, batch_size=64, seed=3)
@@ -934,7 +897,7 @@ class TestTrainRsd:
         train, val = corpus.by_split("train"), corpus.by_split("val")
 
         def video_loss(vi, idx, weight):
-            return rsd_loss_and_grads(params, train[vi], "corr", corr, idx, weight=weight)
+            return _rsd_batch(params, [train[vi]], [None], "corr", "duration", weight, corr)(idx)
 
         want, want_hist = None, []
         for epoch, loss in enumerate(per_video_epochs(
