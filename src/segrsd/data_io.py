@@ -330,20 +330,55 @@ def _read_container(path, expected_kind: int | None = None):
         raise DataFormatError(f"{path}: unreadable metadata ({exc})") from exc
     offset = fixed + meta_len
     arrays = {}
-    for desc in meta.get("arrays", []):
-        shape = tuple(desc["shape"])
-        dtype = np.dtype(desc["dtype"])
+    with _data_errors(path):
+        if not isinstance(meta, dict):
+            raise ValueError(f"metadata is not a JSON object: {meta!r}")
+        descs = meta.get("arrays", [])
+        if not isinstance(descs, list):
+            raise ValueError(f"arrays is not a list of array descriptors: {descs!r}")
+        parsed = [_array_descriptor(desc) for desc in descs]
+    for name, shape, dtype in parsed:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * dtype.itemsize
         if len(raw) < offset + nbytes:
-            raise TruncatedFileError(f"{path}: truncated payload for {desc['name']}")
-        arrays[desc["name"]] = np.frombuffer(
+            raise TruncatedFileError(f"{path}: truncated payload for {name}")
+        arrays[name] = np.frombuffer(
             raw, dtype=dtype, count=count, offset=offset
         ).reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return kind, meta, arrays
+
+
+def _array_descriptor(desc):
+    """(name, shape, dtype) of an array descriptor: a str name, a list of
+    non-negative ints (not bools) and a numeric dtype, else a ValueError
+    naming the array."""
+    name = desc.get("name") if isinstance(desc, dict) else None
+    if not isinstance(name, str):
+        raise ValueError(f"array descriptor without a name: {desc!r}")
+    shape = desc.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"array {name!r}: shape is not a list of non-negative integers: "
+                         f"{shape!r}")
+    given = desc.get("dtype")
+    try:
+        dtype = np.dtype(given) if isinstance(given, str) else None
+    except TypeError:  # a name numpy does not know
+        dtype = None
+    if dtype is None or not np.issubdtype(dtype, np.number):
+        raise ValueError(f"array {name!r}: dtype is not numeric: {given!r}")
+    return name, tuple(shape), dtype
+
+
+def _trainable_mask(meta, n_layers: int) -> list[bool]:
+    """meta's trainable_mask, which must be a list of n_layers bools."""
+    mask = meta["trainable_mask"]
+    if not isinstance(mask, list) or len(mask) != n_layers \
+            or not all(type(b) is bool for b in mask):
+        raise ValueError(f"trainable_mask is not a list of {n_layers} bools: {mask!r}")
+    return mask
 
 
 def _pack_layers(prefix: str, layers: Sequence[DenseLayer]):
@@ -408,9 +443,7 @@ def load_seg_checkpoint(path, expect_feature_dim: int | None = None) -> SegCheck
         for key, (valid, what) in _SEG_SCALARS.items():
             if not valid(meta[key]):
                 raise ValueError(f"{key} is not {what}: {meta[key]!r}")
-        app = AppearanceParams(
-            layers, [bool(b) for b in meta["trainable_mask"]], meta["context_lambda"]
-        )
+        app = AppearanceParams(layers, _trainable_mask(meta, len(layers)), meta["context_lambda"])
         if expect_feature_dim is not None and app.feature_dim != expect_feature_dim:
             raise ShapeMismatchError(f"{path}: expects {app.feature_dim}-dim features, "
                                      f"corpus has {expect_feature_dim}")
@@ -462,7 +495,7 @@ def load_rsd_checkpoint(path, expect_feature_dim: int | None = None):
         aux = _unpack_layers("aux_", 1, arrays)[0] if meta["aux_kind"] != "none" else None
         params = RsdParams(
             embed, meta["context_lambda"], head1, head2, aux, meta["aux_kind"],
-            [bool(b) for b in meta["trainable_mask"]], meta["output_scale"],
+            _trainable_mask(meta, len(embed) + 2 + (aux is not None)), meta["output_scale"],
         )
         if expect_feature_dim is not None and embed[0].in_dim != expect_feature_dim:
             raise ShapeMismatchError(f"{path}: expects {embed[0].in_dim}-dim features, "

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import struct
 import subprocess
@@ -442,6 +443,41 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {bad}: {key}" in err and repr(value) in err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta["arrays"][0].update(dtype="foo"), "array 'embed0.w': dtype"),
+        (lambda meta: meta["arrays"][0].pop("shape"), "array 'embed0.w': shape"),
+        (lambda meta: meta.update(arrays=5), "arrays is not a list"),
+        (lambda meta: meta["arrays"][0].update(shape=["a", 2]), "array 'embed0.w': shape"),
+        (lambda meta: meta["arrays"][0].update(dtype="object"), "array 'embed0.w': dtype"),
+        (lambda meta: meta["arrays"][0].update(shape=[-1, 12]), "array 'embed0.w': shape"),
+    ], ids=["dtype-foo", "no-shape", "arrays-5", "shape-str", "dtype-object", "shape-negative"])
+    def test_data_error_checkpoint_array_descriptor(self, workspace, tmp_path, capsys,
+                                                    edit, named):
+        # a malformed array descriptor is a data error naming the file and
+        # the array, not a traceback or a usage error
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_metadata(workspace / "single" / "rsd_single_none_smoothl1.ckpt", bad, edit)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}: {named}" in err
+
+    @pytest.mark.parametrize("checkpoint, value", [
+        ("single/rsd_single_none_smoothl1.ckpt", "abc"),
+        ("single/rsd_single_none_smoothl1.ckpt", [1, 0, "x"]),
+        ("single/rsd_single_none_smoothl1.ckpt", [None, None, None]),
+        ("seg/segmentation.ckpt", "ab"),
+        ("seg/segmentation.ckpt", [1, 0]),
+    ])
+    def test_data_error_checkpoint_trainable_mask(self, workspace, tmp_path, capsys,
+                                                  checkpoint, value):
+        # one bool per layer (three in the RSD checkpoint, two in the seg one)
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(workspace / checkpoint, bad,
+                            lambda meta, arrays: meta.update(trainable_mask=value))
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}: trainable_mask" in err and repr(value) in err
+
     def _corpus_copy(self, workspace, tmp_path):
         root = tmp_path / "corpus"
         root.mkdir()
@@ -560,6 +596,18 @@ def _rewrite_checkpoint(source, path, edit):
     del meta["arrays"]  # _write_container lists the arrays it writes
     edit(meta, arrays)
     _write_container(path, kind, meta, list(arrays.items()))
+
+
+def _rewrite_metadata(source, path, edit):
+    """Write source's checkpoint container to path after edit(meta) of its
+    metadata, array descriptors included; the payload bytes stay as they are."""
+    raw = Path(source).read_bytes()
+    fixed = 8 + struct.calcsize("<IBQ")
+    (meta_len,) = struct.unpack("<Q", raw[fixed - 8:fixed])
+    meta = json.loads(raw[fixed:fixed + meta_len])
+    edit(meta)
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:fixed - 8] + struct.pack("<Q", len(blob)) + blob + raw[fixed + meta_len:])
 
 
 def test_parser_defaults_are_the_config_defaults():
