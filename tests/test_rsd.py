@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -631,6 +632,65 @@ class TestFrozenEmbedding:
 
 class TestLiveBatch:
     """Live layers: one stacked trunk, head pass and backward pass per group."""
+
+    @pytest.mark.parametrize("head", [
+        "classifier", ("smoothl1", "none"), ("corr", "none"), ("smoothl1", "classes"),
+        ("smoothl1", "progress"),
+    ], ids=["classifier", "smoothl1", "corr", "aux-classes", "aux-progress"])
+    def test_grouped_batch_matches_finite_differences(self, monkeypatch, head):
+        # three videos, sparse sorted rows (the second video's in the segment
+        # form of the row plan), two embedding layers, and a stack bound that
+        # puts the first two videos in one group and the third in another:
+        # the buffered, grouped batch loss the trainers run, checked whole
+        rng = np.random.default_rng(7)
+        videos = [make_video(f"v{i}", n_frames=n, n_features=3, seed=i, period=30.0)
+                  for i, n in enumerate((60, 1800, 40))]
+        starts = np.cumsum([0, *(v.n_frames for v in videos)])
+        picked = [np.sort(rng.choice(v.n_frames, size=k, replace=False))
+                  for v, k in zip(videos, (8, 20, 6))]
+        rows = np.concatenate([at + start for at, start in zip(picked, starts)])
+        monkeypatch.setattr(appearance, "_STACK_ROWS", picked[0][-1] + picked[1][-1] + 2)
+        embed = [init_dense(rng, 3, 5), init_dense(rng, 5, 4)]
+        if head == "classifier":
+            params = appearance.AppearanceParams(
+                [*copy.deepcopy(embed), init_dense(rng, 8, 3)], [True] * 3, 0.9)
+            labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
+            stacked = np.concatenate(labels)
+            layers = params.layers
+            batch_loss = _trunk_source(
+                params.layers[:-1], params.trainable_mask[:-1], 0.9,
+                [v.features for v in videos],
+                lambda trunk, rows, weights: appearance._cross_entropy(
+                    params, trunk, stacked[rows], weights),
+            )
+        else:
+            loss, aux_kind = head
+            params = init_rsd(rng, 3, head_dim=4, aux_kind=aux_kind,
+                              aux_dim={"none": 0, "classes": 4, "progress": 1}[aux_kind],
+                              embed=embed)
+            aux_targets = [None] * 3
+            if aux_kind == "classes":
+                aux_targets = [rng.integers(0, 4, size=v.n_frames) for v in videos]
+            elif aux_kind == "progress":
+                aux_targets = [progress(v.elapsed_min(), v.remaining_min()) for v in videos]
+            layers = params.layer_list()
+            batch_loss = _rsd_batch(params, videos, aux_targets, loss, "duration")
+        groups = []
+        trunk = appearance._trunk
+        monkeypatch.setattr(appearance, "_trunk",
+                            lambda *args: groups.append(len(args[2])) or trunk(*args))
+        pis = []
+        if head[0] == "corr":
+            # the corridor weight carries no gradient: the oracle freezes it
+            weight = rsd.corridor_weight
+            monkeypatch.setattr(rsd, "corridor_weight", lambda *a: pis.append(weight(*a)) or pis[-1])
+        _, grads = batch_loss(rows)
+        assert groups == [2, 1]
+        if pis:
+            frozen = itertools.cycle(pis)  # one weight per group, in order
+            monkeypatch.setattr(rsd, "corridor_weight", lambda *a: next(frozen))
+        num = finite_difference_grads(lambda: batch_loss(rows)[0], layers)
+        assert grad_rel_error(grads, num) < 1e-4
 
     @pytest.mark.parametrize("bound", ["default", "split"])
     @pytest.mark.parametrize("case", TestSelectedRows.CASES)
