@@ -331,8 +331,6 @@ def _read_container(path, expected_kind: int | None = None):
     offset = fixed + meta_len
     arrays = {}
     with _data_errors(path):
-        if not isinstance(meta, dict):
-            raise ValueError(f"metadata is not a JSON object: {meta!r}")
         descs = meta.get("arrays", [])
         if not isinstance(descs, list):
             raise ValueError(f"arrays is not a list of array descriptors: {descs!r}")

@@ -431,6 +431,12 @@ class TestExitCodes:
         ("seg/segmentation.ckpt", "nu0", "x"),
         ("seg/segmentation.ckpt", "r0", "x"),
         ("seg/segmentation.ckpt", "alpha0", -1.0),
+        # one bool per layer: three in the RSD checkpoint, two in the seg one
+        ("single/rsd_single_none_smoothl1.ckpt", "trainable_mask", "abc"),
+        ("single/rsd_single_none_smoothl1.ckpt", "trainable_mask", [1, 0, "x"]),
+        ("single/rsd_single_none_smoothl1.ckpt", "trainable_mask", [None, None, None]),
+        ("seg/segmentation.ckpt", "trainable_mask", "ab"),
+        ("seg/segmentation.ckpt", "trainable_mask", [1, 0]),
     ])
     def test_data_error_checkpoint_scalar(self, workspace, tmp_path, capsys,
                                           checkpoint, key, value):
@@ -460,23 +466,6 @@ class TestExitCodes:
         code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}: {named}" in err
-
-    @pytest.mark.parametrize("checkpoint, value", [
-        ("single/rsd_single_none_smoothl1.ckpt", "abc"),
-        ("single/rsd_single_none_smoothl1.ckpt", [1, 0, "x"]),
-        ("single/rsd_single_none_smoothl1.ckpt", [None, None, None]),
-        ("seg/segmentation.ckpt", "ab"),
-        ("seg/segmentation.ckpt", [1, 0]),
-    ])
-    def test_data_error_checkpoint_trainable_mask(self, workspace, tmp_path, capsys,
-                                                  checkpoint, value):
-        # one bool per layer (three in the RSD checkpoint, two in the seg one)
-        bad = tmp_path / "bad.ckpt"
-        _rewrite_checkpoint(workspace / checkpoint, bad,
-                            lambda meta, arrays: meta.update(trainable_mask=value))
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
-        assert code == 2
-        assert f"error: {bad}: trainable_mask" in err and repr(value) in err
 
     def _corpus_copy(self, workspace, tmp_path):
         root = tmp_path / "corpus"

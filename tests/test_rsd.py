@@ -653,7 +653,7 @@ class TestLiveBatch:
         embed = [init_dense(rng, 3, 5), init_dense(rng, 5, 4)]
         if head == "classifier":
             params = appearance.AppearanceParams(
-                [*copy.deepcopy(embed), init_dense(rng, 8, 3)], [True] * 3, 0.9)
+                [*embed, init_dense(rng, 8, 3)], [True] * 3, 0.9)
             labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
             stacked = np.concatenate(labels)
             layers = params.layers
