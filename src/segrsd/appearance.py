@@ -10,7 +10,9 @@ frames-sized temporaries. A training batch on live layers stacks its touched
 videos' prefixes through their last rows and runs one embedding chain, one
 head pass and one backward pass over the stack (_trunk_source), in buffers
 held for the training call; it computes each video's accumulator at its rows
-only (_row_context) and backpropagates through its exact adjoint.
+only (_row_context) and backpropagates through its exact adjoint. Every
+frame loss is that batch loss with per-row weights: the per-video
+cross_entropy_loss_and_grads runs it on a batch of all of one video's frames.
 Training supports per-layer freezing, which the alternating trainer uses to
 unfreeze one extra layer per iteration, and a temporal-coherence objective
 pretrains the embedding before the first iteration.
@@ -198,7 +200,8 @@ def _row_plan(rows, lam: float, table):
     sum_{j<=k} lam**(i_k-i_j) S_j is a scan over the K rows only, and
     ctx[i_k] = (1-lam) C_k + lam**(i_k+1) e_0. Returns (rows, form). On a
     short prefix form is the K x (i_K + 1) matrix of this linear map, rows of
-    table = _decay_table(lam, n) for some n > i_K.
+    table = _decay_table(lam, n), which the caller builds once for some
+    n > i_K (_trunk_source: the longest video).
     Otherwise it is (lengths, weights, lam, head, steps): the segments' frame
     counts, the lam**(i_k-s) of every frame, lam, the (K, 1) lam**(i_k+1),
     and the (shift m, factors lam**(i_k - i_{k-m})) of a log-step scan over
@@ -310,8 +313,9 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table, bufs):
     (_row_plan, dense plans from table). back = (acts, plans, bufs) holds the
     chain's activations, input first, and the plans for _selected_backward.
     The stack, the chain and the backward pass write into the leading rows
-    of bufs (_FrameBuffers). Only _trunk_source calls it; whole-video passes
-    go through _trunk_blocks.
+    of bufs (_FrameBuffers), and table (_decay_table) serves every dense
+    plan; _trunk_source, the only caller, makes both once per training call.
+    Whole-video passes go through _trunk_blocks.
     """
     plans = [_row_plan(rows, lam, table) for _, rows in parts]
     ends = [0]
@@ -358,7 +362,9 @@ def _video_shares(counts: np.ndarray) -> np.ndarray:
 
 
 def _trunk_source(layers, mask, lam, feats, head_loss):
-    """optim.minibatch_epochs' batch loss over videos under the live layers.
+    """optim.minibatch_epochs' batch loss over videos under the live layers:
+    the one loss path of both trainers and of the per-video loss functions,
+    which call it on one video.
 
     feats are the videos' (frames, features) arrays. batch_loss(rows) takes
     sorted rows of the videos' frames stacked in order and returns (loss,

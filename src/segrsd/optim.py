@@ -12,7 +12,9 @@ live layers it stacks the touched videos' frames through each one's last
 selected frame, runs one embedding pass, one head pass and one backward pass
 per group of them, and computes the causal context at the selected frames
 only, so a batch never scans a whole prefix; on a frozen embedding it reads
-every row from one cache of the training frames and runs the head once.
+every row from one cache of the training frames and runs the head once. The
+per-video loss functions, appearance.cross_entropy_loss_and_grads and
+rsd.rsd_loss_and_grads, are that batch loss on all of one video's frames.
 """
 from __future__ import annotations
 

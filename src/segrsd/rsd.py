@@ -20,7 +20,9 @@ median-based guess n(t) = max(t_median - t, 0):
     pi(y, t) = ((y - gt) / (c - gt))^2 inside the corridor, else 1.
 
 pi is computed on minute values (it is scale-invariant), carries no
-gradient and weighs the remaining-minutes target only. Four pipelines
+gradient and weighs the remaining-minutes target only. A batch loss is the
+sum of its rows' terms under per-row weights (appearance._trunk_source);
+rsd_loss_and_grads is that loss on all of one video's frames. Four pipelines
 consume an upstream segmentation result: frozen feature extraction,
 low-rate pretraining transfer, joint training with an auxiliary head
 (regularization), and a from-scratch single-task baseline.
