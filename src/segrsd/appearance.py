@@ -80,7 +80,7 @@ class AppearanceParams:
         if len(self.layers) < 2:
             raise ValueError("need at least one embedding layer and a head")
         if len(self.trainable_mask) != len(self.layers):
-            raise ValueError("trainable_mask must have one entry per layer")
+            raise ValueError(f"trainable_mask needs one entry per layer: {self.trainable_mask!r}")
         _check_lambda(self.context_lambda)
         emb_dim = self.layers[-2].out_dim
         if self.layers[-1].in_dim != 2 * emb_dim:

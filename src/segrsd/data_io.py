@@ -10,7 +10,9 @@ A corpus directory holds one file per video plus manifest.txt with lines
 container (magic "SEGCKPT1", version u32, kind u8, metadata JSON with
 sorted keys, then raw array payloads in declared order) so that identical
 state always produces identical bytes; archive formats were avoided
-because they embed timestamps.
+because they embed timestamps. One table per kind, _SEG_META or _RSD_META
+(plus _RSD_EXTRAS, the optional keys saved beside an RSD model), gives each
+metadata key's saved value and its check on load.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import (
     TruncatedFileError,
     VersionError,
 )
-from .rsd import RsdParams
+from .rsd import AUX_KINDS, AUX_TASKS, LOSSES, PIPELINES, RsdParams
 from .segtrain import SegCheckpoint
 from .temporal import (
     LengthModel,
@@ -331,6 +333,8 @@ def _read_container(path, expected_kind: int | None = None):
     offset = fixed + meta_len
     arrays = {}
     with _data_errors(path):
+        if not isinstance(meta, dict):
+            raise ValueError(f"metadata is not a JSON object: {meta!r}")
         descs = meta.get("arrays", [])
         if not isinstance(descs, list):
             raise ValueError(f"arrays is not a list of array descriptors: {descs!r}")
@@ -370,63 +374,73 @@ def _array_descriptor(desc):
     return name, tuple(shape), dtype
 
 
-def _trainable_mask(meta, n_layers: int) -> list[bool]:
-    """meta's trainable_mask, which must be a list of n_layers bools."""
-    mask = meta["trainable_mask"]
-    if not isinstance(mask, list) or len(mask) != n_layers \
-            or not all(type(b) is bool for b in mask):
-        raise ValueError(f"trainable_mask is not a list of {n_layers} bools: {mask!r}")
-    return mask
-
-
 def _pack_layers(prefix: str, layers: Sequence[DenseLayer]):
-    arrays = []
-    for i, layer in enumerate(layers):
-        arrays.append((f"{prefix}{i}.w", layer.weights))
-        arrays.append((f"{prefix}{i}.b", layer.bias))
-    return arrays
+    return [(f"{prefix}{i}.{part}", array) for i, layer in enumerate(layers)
+            for part, array in (("w", layer.weights), ("b", layer.bias))]
 
 
 def _unpack_layers(prefix: str, count: int, arrays: dict) -> list[DenseLayer]:
-    if type(count) is not int or count < 1:  # bool is a subclass of int
-        raise ValueError(f"layer count {count!r} of {prefix!r} is not a positive integer")
-    return [
-        DenseLayer(arrays[f"{prefix}{i}.w"], arrays[f"{prefix}{i}.b"])
-        for i in range(count)
-    ]
+    return [DenseLayer(arrays[f"{prefix}{i}.w"], arrays[f"{prefix}{i}.b"]) for i in range(count)]
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+# (check, what a valid value is) of one metadata value. JSON numbers load as
+# int or float and true/false as bool, so type() keeps bools out of numbers.
+_POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < np.inf, "a finite positive number")
+_BOOLS = (lambda v: isinstance(v, list) and len(v) > 0 and all(type(b) is bool for b in v),
+          "a non-empty list of bools")
+_BY_PARAMS = (lambda v: True, "")  # AppearanceParams or RsdParams checks it as it is built
 
 
-# a seg checkpoint's scalar metadata: key -> (check, what a valid value is)
-_SEG_SCALARS = {
-    "iteration": (lambda v: type(v) is int and v >= 1, "a positive integer"),
-    "tc_score": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "nu0": (lambda v: _is_number(v) and 0 < v < np.inf, "a finite positive number"),
-    "r0": (lambda v: _is_number(v) and 0 <= v < np.inf, "a finite non-negative number"),
-    "alpha0": (lambda v: _is_number(v) and 0 < v < np.inf, "a finite positive number"),
-    "video_ids": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+def _one_of(values: tuple):
+    return lambda v: v in values, f"one of {values}"
+
+
+# key -> (its value in the saved object, check, what a valid value is): save_*
+# write exactly these keys, and load_* check them all, in this order, first
+_SEG_META = {
+    "n_layers": (lambda c: len(c.appearance.layers), *_POSITIVE_INT),
+    "iteration": (lambda c: c.iteration, *_POSITIVE_INT),
+    "tc_score": (lambda c: c.tc_score,
+                 lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "context_lambda": (lambda c: c.appearance.context_lambda, *_BY_PARAMS),
+    "trainable_mask": (lambda c: [bool(b) for b in c.appearance.trainable_mask], *_BOOLS),
+    "nu0": (lambda c: c.mallows.nu0, *_POSITIVE),
+    "r0": (lambda c: c.mallows.r0,
+           lambda v: type(v) in (int, float) and 0 <= v < np.inf, "a finite non-negative number"),
+    "alpha0": (lambda c: c.lengths.alpha0, *_POSITIVE),
+    "n_subactivities": (lambda c: c.mallows.n_subactivities, *_POSITIVE_INT),
+    "video_ids": (lambda c: sorted(c.labels),
+                  lambda v: isinstance(v, list) and all(type(x) is str for x in v),
                   "a list of strings"),
+}
+_RSD_META = {
+    "n_embed": (lambda p: len(p.embed), *_POSITIVE_INT),
+    "context_lambda": (lambda p: p.context_lambda, *_BY_PARAMS),
+    "aux_kind": (lambda p: p.aux_kind, *_one_of(AUX_KINDS)),
+    "output_scale": (lambda p: p.output_scale, *_BY_PARAMS),
+    "trainable_mask": (lambda p: [bool(b) for b in p.trainable_mask], *_BOOLS),
+}
+# the optional keys the CLI saves beside an RSD model: key -> (check, what)
+_RSD_EXTRAS = {
+    "pipeline": _one_of(PIPELINES),
+    "aux": _one_of(AUX_TASKS),
+    "loss": _one_of(LOSSES),
+    "seed": (lambda v: type(v) is int, "an integer"),
 }
 
 
+def _check_meta(meta: dict, table: dict, optional: bool = False) -> None:
+    """A ValueError naming the first key of table whose value in meta fails its
+    check; a key missing from meta is a KeyError, or skipped if optional."""
+    for key, (*_, valid, what) in table.items():
+        if (key in meta or not optional) and not valid(meta[key]):
+            raise ValueError(f"{key} is not {what}: {meta[key]!r}")
+
+
 def save_seg_checkpoint(ckpt: SegCheckpoint, path) -> None:
-    app = ckpt.appearance
-    meta = {
-        "iteration": ckpt.iteration,
-        "tc_score": ckpt.tc_score,
-        "n_layers": len(app.layers),
-        "context_lambda": app.context_lambda,
-        "trainable_mask": [bool(b) for b in app.trainable_mask],
-        "nu0": ckpt.mallows.nu0,
-        "r0": ckpt.mallows.r0,
-        "alpha0": ckpt.lengths.alpha0,
-        "n_subactivities": ckpt.mallows.n_subactivities,
-        "video_ids": sorted(ckpt.labels),
-    }
-    arrays = _pack_layers("layer", app.layers)
+    meta = {key: value_of(ckpt) for key, (value_of, *_) in _SEG_META.items()}
+    arrays = _pack_layers("layer", ckpt.appearance.layers)
     arrays.append(("rho", ckpt.mallows.rho))
     arrays.append(("theta", ckpt.lengths.theta))
     for vid in meta["video_ids"]:
@@ -437,11 +451,9 @@ def save_seg_checkpoint(ckpt: SegCheckpoint, path) -> None:
 def load_seg_checkpoint(path, expect_feature_dim: int | None = None) -> SegCheckpoint:
     _, meta, arrays = _read_container(path, _KIND_SEG)
     with _data_errors(path):
+        _check_meta(meta, _SEG_META)
         layers = _unpack_layers("layer", meta["n_layers"], arrays)
-        for key, (valid, what) in _SEG_SCALARS.items():
-            if not valid(meta[key]):
-                raise ValueError(f"{key} is not {what}: {meta[key]!r}")
-        app = AppearanceParams(layers, _trainable_mask(meta, len(layers)), meta["context_lambda"])
+        app = AppearanceParams(layers, meta["trainable_mask"], meta["context_lambda"])
         if expect_feature_dim is not None and app.feature_dim != expect_feature_dim:
             raise ShapeMismatchError(f"{path}: expects {app.feature_dim}-dim features, "
                                      f"corpus has {expect_feature_dim}")
@@ -451,30 +463,15 @@ def load_seg_checkpoint(path, expect_feature_dim: int | None = None) -> SegCheck
         mallows = MallowsModel(k, arrays["rho"], meta["nu0"], meta["r0"])
         lengths = LengthModel(k, arrays["theta"], meta["alpha0"])
         labels = {vid: arrays[f"labels.{vid}"] for vid in meta["video_ids"]}
-        return SegCheckpoint(
-            iteration=meta["iteration"],
-            appearance=app,
-            mallows=mallows,
-            lengths=lengths,
-            labels=labels,
-            tc_score=meta["tc_score"],
-        )
+        return SegCheckpoint(meta["iteration"], app, mallows, lengths, labels, meta["tc_score"])
 
 
 def save_rsd_checkpoint(params: RsdParams, path, meta_extra: dict | None = None) -> None:
-    meta = {
-        "n_embed": len(params.embed),
-        "context_lambda": params.context_lambda,
-        "aux_kind": params.aux_kind,
-        "output_scale": params.output_scale,
-        "trainable_mask": [bool(b) for b in params.trainable_mask],
-    }
-    if meta_extra:
-        reserved = set(meta) | {"arrays"}
-        overlap = reserved & set(meta_extra)
-        if overlap:
-            raise ValueError(f"reserved metadata keys: {sorted(overlap)}")
-        meta.update(meta_extra)
+    extra = meta_extra or {}
+    if not extra.keys() <= _RSD_EXTRAS.keys():
+        raise ValueError(f"extras must be among {sorted(_RSD_EXTRAS)}: {sorted(extra)}")
+    _check_meta(extra, _RSD_EXTRAS, optional=True)
+    meta = {key: value_of(params) for key, (value_of, *_) in _RSD_META.items()} | extra
     arrays = _pack_layers("embed", params.embed)
     arrays += _pack_layers("head1_", [params.head1])
     arrays += _pack_layers("head2_", [params.head2])
@@ -484,16 +481,18 @@ def save_rsd_checkpoint(params: RsdParams, path, meta_extra: dict | None = None)
 
 
 def load_rsd_checkpoint(path, expect_feature_dim: int | None = None):
-    """Returns (params, meta); meta keeps any extra strings saved alongside."""
+    """Returns (params, meta); meta keeps the extras saved alongside."""
     _, meta, arrays = _read_container(path, _KIND_RSD)
     with _data_errors(path):
+        _check_meta(meta, _RSD_META)
+        _check_meta(meta, _RSD_EXTRAS, optional=True)
         embed = _unpack_layers("embed", meta["n_embed"], arrays)
         head1 = _unpack_layers("head1_", 1, arrays)[0]
         head2 = _unpack_layers("head2_", 1, arrays)[0]
         aux = _unpack_layers("aux_", 1, arrays)[0] if meta["aux_kind"] != "none" else None
         params = RsdParams(
             embed, meta["context_lambda"], head1, head2, aux, meta["aux_kind"],
-            _trainable_mask(meta, len(embed) + 2 + (aux is not None)), meta["output_scale"],
+            meta["trainable_mask"], meta["output_scale"],
         )
         if expect_feature_dim is not None and embed[0].in_dim != expect_feature_dim:
             raise ShapeMismatchError(f"{path}: expects {embed[0].in_dim}-dim features, "

@@ -60,6 +60,7 @@ logger = logging.getLogger("segrsd")
 PIPELINES = ("feature_extraction", "pretraining", "regularization", "single_task")
 AUX_TASKS = ("none", "learned_seg", "uniform", "progress", "phase")
 LOSSES = ("smoothl1", "corr")
+AUX_KINDS = ("none", "classes", "progress")  # what an RSD model's aux head predicts
 # the per-video target of each target kind, which the loss and the val MAE read
 TARGETS = {
     "duration": VideoSequence.remaining_min,
@@ -198,7 +199,7 @@ class RsdParams:
     head1: DenseLayer               # (head_dim, 2*emb + 1), tanh
     head2: DenseLayer               # (1, head_dim), linear
     aux_head: DenseLayer | None = None
-    aux_kind: str = "none"          # none | classes | progress
+    aux_kind: str = "none"          # one of AUX_KINDS
     trainable_mask: list[bool] = field(default_factory=list)
     output_scale: float = 0.05
 
@@ -215,8 +216,8 @@ class RsdParams:
         if not self.trainable_mask:
             self.trainable_mask = [True] * len(self.layer_list())
         if len(self.trainable_mask) != len(self.layer_list()):
-            raise ValueError("trainable_mask must cover every layer")
-        if self.aux_kind not in ("none", "classes", "progress"):
+            raise ValueError(f"trainable_mask needs one entry per layer: {self.trainable_mask!r}")
+        if self.aux_kind not in AUX_KINDS:
             raise ValueError(f"unknown aux kind {self.aux_kind!r}")
         if (self.aux_head is None) != (self.aux_kind == "none"):
             raise ValueError("aux head and aux kind must agree")

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from operator import delitem
 from pathlib import Path
 
 import pytest
@@ -407,17 +408,6 @@ class TestExitCodes:
         ("single/rsd_single_none_smoothl1.ckpt", "n_embed", "1"),
         ("single/rsd_single_none_smoothl1.ckpt", "n_embed", True),
         ("seg/segmentation.ckpt", "n_layers", "2"),
-    ])
-    def test_data_error_checkpoint_layer_count(self, workspace, tmp_path, capsys,
-                                               checkpoint, key, value):
-        bad = tmp_path / "bad.ckpt"
-        _rewrite_checkpoint(workspace / checkpoint, bad,
-                            lambda meta, arrays: meta.update({key: value}))
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
-        assert code == 2
-        assert f"error: {bad}: layer count {value!r}" in err
-
-    @pytest.mark.parametrize("checkpoint, key, value", [
         ("single/rsd_single_none_smoothl1.ckpt", "context_lambda", "0.9"),
         ("single/rsd_single_none_smoothl1.ckpt", "context_lambda", 1.5),
         ("seg/segmentation.ckpt", "context_lambda", "0.9"),
@@ -437,11 +427,27 @@ class TestExitCodes:
         ("single/rsd_single_none_smoothl1.ckpt", "trainable_mask", [None, None, None]),
         ("seg/segmentation.ckpt", "trainable_mask", "ab"),
         ("seg/segmentation.ckpt", "trainable_mask", [1, 0]),
+        ("single/rsd_single_none_smoothl1.ckpt", "trainable_mask", []),
+        ("single/rsd_single_none_smoothl1.ckpt", "trainable_mask", [True, True]),
+        ("seg/segmentation.ckpt", "trainable_mask", [True]),
+        # a no-aux checkpoint's aux_kind, and seg's count, each named as itself
+        ("single/rsd_single_none_smoothl1.ckpt", "aux_kind", 5),
+        ("single/rsd_single_none_smoothl1.ckpt", "aux_kind", "bogus"),
+        ("seg/segmentation.ckpt", "n_subactivities", "x"),
+        ("seg/segmentation.ckpt", "n_subactivities", 2.0),
+        # the extras the CLI saves beside an RSD model, which evaluate reads
+        ("single/rsd_single_none_smoothl1.ckpt", "aux", "bogus"),
+        ("single/rsd_single_none_smoothl1.ckpt", "aux", [1]),
+        ("single/rsd_single_none_smoothl1.ckpt", "pipeline", "bogus"),
+        ("single/rsd_single_none_smoothl1.ckpt", "pipeline", {}),
+        ("single/rsd_single_none_smoothl1.ckpt", "loss", 7),
+        ("single/rsd_single_none_smoothl1.ckpt", "seed", "x"),
     ])
     def test_data_error_checkpoint_scalar(self, workspace, tmp_path, capsys,
                                           checkpoint, key, value):
         # a wrong-typed or out-of-range value is rejected as the file loads,
-        # not met later as a TypeError, a usage error or sign-flipped output
+        # not met later as a TypeError, a wrong reason, sign-flipped output or
+        # a model silently left out of the report
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(workspace / checkpoint, bad,
                             lambda meta, arrays: meta.update({key: value}))
@@ -451,7 +457,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, named", [
         (lambda meta: meta["arrays"][0].update(dtype="foo"), "array 'embed0.w': dtype"),
-        (lambda meta: meta["arrays"][0].pop("shape"), "array 'embed0.w': shape"),
+        (lambda meta: delitem(meta["arrays"][0], "shape"), "array 'embed0.w': shape"),
         (lambda meta: meta.update(arrays=5), "arrays is not a list"),
         (lambda meta: meta["arrays"][0].update(shape=["a", 2]), "array 'embed0.w': shape"),
         (lambda meta: meta["arrays"][0].update(dtype="object"), "array 'embed0.w': dtype"),
@@ -466,6 +472,14 @@ class TestExitCodes:
         code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}: {named}" in err
+
+    def test_data_error_checkpoint_metadata_not_an_object(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_metadata(workspace / "single" / "rsd_single_none_smoothl1.ckpt", bad,
+                          lambda meta: [1, 2])
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        assert code == 2
+        assert f"error: {bad}: metadata is not a JSON object: [1, 2]" in err
 
     def _corpus_copy(self, workspace, tmp_path):
         root = tmp_path / "corpus"
@@ -589,12 +603,14 @@ def _rewrite_checkpoint(source, path, edit):
 
 def _rewrite_metadata(source, path, edit):
     """Write source's checkpoint container to path after edit(meta) of its
-    metadata, array descriptors included; the payload bytes stay as they are."""
+    metadata, array descriptors included, or with what edit returns, if not
+    None, as the metadata; the payload bytes stay as they are."""
     raw = Path(source).read_bytes()
     fixed = 8 + struct.calcsize("<IBQ")
     (meta_len,) = struct.unpack("<Q", raw[fixed - 8:fixed])
     meta = json.loads(raw[fixed:fixed + meta_len])
-    edit(meta)
+    replaced = edit(meta)
+    meta = meta if replaced is None else replaced
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(raw[:fixed - 8] + struct.pack("<Q", len(blob)) + blob + raw[fixed + meta_len:])
 

@@ -17,6 +17,9 @@ from segrsd.data_io import (
     save_video,
     split_corpus,
     synth_generate,
+    _read_container,
+    _RSD_META,
+    _SEG_META,
 )
 from segrsd.errors import (
     BadMagicError,
@@ -318,6 +321,11 @@ class TestSegCheckpoint:
         with pytest.raises(MissingFileError):
             load_seg_checkpoint(tmp_path / "gone.ckpt")
 
+    def test_metadata_keys_are_the_table_keys(self, tmp_path):
+        path = tmp_path / "seg.ckpt"
+        save_seg_checkpoint(_seg_checkpoint(), path)
+        assert _read_container(path)[1].keys() == _SEG_META.keys() | {"arrays"}
+
 
 class TestRsdCheckpoint:
     def _params(self, seed=0):
@@ -350,10 +358,24 @@ class TestRsdCheckpoint:
         assert back.aux_head is None
         assert meta["aux_kind"] == "none"
 
-    def test_reserved_meta_keys(self, tmp_path):
+    @pytest.mark.parametrize("extra", [
+        {}, {"loss": "corr"},
+        {"pipeline": "regularization", "aux": "uniform", "loss": "corr", "seed": 3},
+    ])
+    def test_metadata_keys_are_the_table_keys(self, tmp_path, extra):
+        # the table drives the save as well as the load: its keys, the extras
+        # given and the array list, nothing else
+        path = tmp_path / "rsd.ckpt"
+        save_rsd_checkpoint(self._params(), path, meta_extra=extra)
+        assert _read_container(path)[1].keys() == _RSD_META.keys() | extra.keys() | {"arrays"}
+
+    @pytest.mark.parametrize("extra", [{"aux_kind": "sneaky"}, {"note": "x"}, {"loss": "l2"}])
+    def test_reserved_meta_keys(self, tmp_path, extra):
+        # a table key, a key outside the extras table, or an extra that fails its check
+        path = tmp_path / "x.ckpt"
         with pytest.raises(ValueError):
-            save_rsd_checkpoint(self._params(), tmp_path / "x.ckpt",
-                                meta_extra={"aux_kind": "sneaky"})
+            save_rsd_checkpoint(self._params(), path, meta_extra=extra)
+        assert not path.exists()
 
     def test_feature_dim_check(self, tmp_path):
         path = tmp_path / "rsd.ckpt"
