@@ -310,12 +310,13 @@ def _trunk(layers: Sequence[DenseLayer], lam: float, parts, table, bufs):
     are stacked in order (one video's are used where they are) and one chain
     runs over the stack; emb and ctx hold every video's rows in turn, each
     video's context computed at its rows alone from a plan of its own
-    (_row_plan, dense plans from table). back = (acts, plans, bufs) holds the
-    chain's activations, input first, and the plans for _selected_backward.
-    The stack, the chain and the backward pass write into the leading rows
-    of bufs (_FrameBuffers), and table (_decay_table) serves every dense
-    plan; _trunk_source, the only caller, makes both once per training call.
-    Whole-video passes go through _trunk_blocks.
+    (_row_plan, dense plans from table). back = (acts, plans, bufs), the
+    chain's activations, input first, and the plans, stays with
+    _trunk_source, the only caller, for _selected_backward. The stack, the
+    chain and the backward pass write into the leading rows of bufs
+    (_FrameBuffers), and table (_decay_table) serves every dense plan;
+    _trunk_source makes both once per training call. Whole-video passes go
+    through _trunk_blocks.
     """
     plans = [_row_plan(rows, lam, table) for _, rows in parts]
     ends = [0]
@@ -368,18 +369,21 @@ def _trunk_source(layers, mask, lam, feats, head_loss):
 
     feats are the videos' (frames, features) arrays. batch_loss(rows) takes
     sorted rows of the videos' frames stacked in order and returns (loss,
-    grads) of head_loss(trunk, rows, weights), trunk = (back, emb, ctx) at
-    rows, weights (1/touched)/n_v on the n_v rows of each touched video. On
-    live layers the touched videos are taken in order, in groups whose
-    prefixes through their last rows stack to at most _STACK_ROWS frames (a
-    longer video forms a group of its own); each group runs one _trunk, one
-    head_loss on its rows and one backward pass, and the groups' losses and
-    grads are summed (a frozen layer's None stays None). The dense plans'
-    powers table and the frames-sized arrays of the stack are made once here,
-    sized for the longest video and the largest group.
+    grads), grads the layers' and then head_grads. head_loss(emb, ctx, rows,
+    weights) sees [emb, ctx] at rows, weights (1/touched)/n_v on the n_v rows
+    of each touched video, and returns (loss, d_phi, head_grads): the
+    gradient at those rows of [emb, ctx] (n, 2h) and the head layers'
+    [d_w, d_b]. On live layers the touched videos are taken in order, in
+    groups whose prefixes through their last rows stack to at most
+    _STACK_ROWS frames (a longer video forms a group of its own); each group
+    runs one _trunk, one head_loss on its rows and one _selected_backward of
+    its d_phi, and the groups' losses and grads are summed (a frozen layer's
+    None stays None). The dense plans' powers table and the frames-sized
+    arrays of the stack are made once here, sized for the longest video and
+    the largest group.
     With no embedding layer training, every frame's [emb, ctx] is computed
     once here, block by block, into one (frames, h) pair; a batch gathers its
-    rows from it, back None, and runs head_loss once.
+    rows from it, runs head_loss once and gives each layer None.
     """
     offsets = np.cumsum([0, *(len(f) for f in feats)])
     if any(mask):
@@ -404,8 +408,9 @@ def _trunk_source(layers, mask, lam, feats, head_loss):
                 parts = [(feats[vi], rows[cuts[vi]:cuts[vi + 1]] - offsets[vi])
                          for vi in group]
                 at = slice(cuts[group[0]], cuts[group[-1] + 1])
-                part, grads = head_loss(_trunk(layers, lam, parts, table, bufs),
-                                        rows[at], weights[at])
+                back, emb, ctx = _trunk(layers, lam, parts, table, bufs)
+                part, d_phi, head_grads = head_loss(emb, ctx, rows[at], weights[at])
+                grads = _selected_backward(layers, mask, back, d_phi) + head_grads
                 loss += part
                 if total is None:
                     total = grads
@@ -425,7 +430,8 @@ def _trunk_source(layers, mask, lam, feats, head_loss):
 
     def cached_batch(rows):
         weights = _video_shares(np.diff(np.searchsorted(rows, offsets)))
-        return head_loss((None, emb[rows], ctx[rows]), rows, weights)
+        loss, _, head_grads = head_loss(emb[rows], ctx[rows], rows, weights)
+        return loss, [None] * len(layers) + head_grads
 
     return cached_batch
 
@@ -478,11 +484,9 @@ def _selected_backward(layers, mask, back, d_phi):
     back = (acts, plans, bufs) comes from _trunk, and d_phi has its rows in
     the same order. Each video's context adjoint reaches its frames
     0..max(rows) only, in the leading rows of bufs.d_emb; then one pass runs
-    back through the stacked chain. A wholly frozen embedding gets
-    [None, ...] and may come without back.
+    back through the stacked chain. _trunk_source's live batches are the
+    only caller, so some layer of mask trains.
     """
-    if not any(mask):
-        return [None] * len(layers)
     acts, plans, bufs = back
     n, h = acts[-1].shape
     d = bufs.d_emb[:n]
@@ -521,24 +525,19 @@ def cross_entropy_loss_and_grads(params: AppearanceParams, feats: np.ndarray, la
     labels = np.asarray(labels)
     batch_loss = _trunk_source(
         params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [feats],
-        lambda trunk, rows, weights: _cross_entropy(params, trunk, labels[rows], weights),
+        lambda emb, ctx, rows, weights: _cross_entropy(params, emb, ctx, labels[rows], weights),
     )
     return batch_loss(np.arange(len(labels)))
 
 
-def _cross_entropy(params: AppearanceParams, trunk, labels, weights):
-    """The head and loss of cross_entropy_loss_and_grads on trunk = (back, emb,
-    ctx) at the batch rows, with their per-row weights; back may be None
-    when the whole embedding is frozen."""
-    back, emb, ctx = trunk
+def _cross_entropy(params: AppearanceParams, emb, ctx, labels, weights):
+    """The head and loss of cross_entropy_loss_and_grads on [emb, ctx] at the
+    batch rows, with their per-row weights: head_loss of _trunk_source,
+    returning (loss, d_phi, [head's [d_w, d_b]])."""
     head = params.layers[-1]
     phi, logits = _logits(head, emb, ctx)
     loss, dlogits = softmax_cross_entropy(logits, labels, weights)
-    grads = _selected_backward(
-        params.layers[:-1], params.trainable_mask[:-1], back, dlogits @ head.weights,
-    )
-    grads.append([dlogits.T @ phi, dlogits.sum(axis=0)])
-    return loss, grads
+    return loss, dlogits @ head.weights, [[dlogits.T @ phi, dlogits.sum(axis=0)]]
 
 
 def mean_cross_entropy(
@@ -592,8 +591,8 @@ def train_appearance(
 
     labs = np.concatenate([np.asarray(labels[v.id], dtype=np.int64) for v in videos])
 
-    def head_loss(trunk, rows, weights):
-        return _cross_entropy(out, trunk, labs[rows], weights)
+    def head_loss(emb, ctx, rows, weights):
+        return _cross_entropy(out, emb, ctx, labs[rows], weights)
 
     batch_loss = _trunk_source(
         out.layers[:-1], out.trainable_mask[:-1], out.context_lambda,

@@ -224,14 +224,21 @@ def _aux_source(args, corpus, aux, corridor, epochs, *seed_key) -> AuxInit:
     )
 
 
+def _reported_videos(args, corpus, split):
+    """The videos of split, which evaluate and baselines report on, checked
+    before any training: a split with none is a data error."""
+    videos = corpus.by_split(split)
+    if not videos:
+        raise DataFormatError(f"{args.corpus}: corpus has no videos in split {split!r}")
+    return videos
+
+
 def _naive_mae(videos, corridor) -> float:
     return mae_minutes({v.id: naive_prediction(v.elapsed_min(), corridor) for v in videos}, videos)
 
 
 def _prepare_init(args, corpus, mode, corridor, epochs):
     if mode.aux_task == "learned_seg":
-        if not args.checkpoint:
-            raise DataFormatError("--aux seg needs --checkpoint")
         ckpt = load_seg_checkpoint(args.checkpoint, expect_feature_dim=corpus.feature_dim)
         return AuxInit.from_checkpoint(ckpt)
     if not mode.transfers:
@@ -246,6 +253,8 @@ def _cmd_train_rsd(args) -> int:
         raise ValueError("--k applies to --aux uniform only")
     if args.checkpoint is not None and args.aux != "seg":
         raise ValueError("--checkpoint applies to --aux seg only")
+    if args.checkpoint is None and args.aux == "seg":
+        raise ValueError("--aux seg needs --checkpoint")
     mode = PipelineMode(PIPELINE_FLAG[args.pipeline], AUX_FLAG[args.aux])
     if args.k is None:
         args.k = 10
@@ -286,9 +295,7 @@ def _cmd_train_rsd(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
-    videos = corpus.by_split(args.split)
-    if not videos:
-        raise DataFormatError(f"corpus has no videos in split {args.split!r}")
+    videos = _reported_videos(args, corpus, args.split)
     corridor = CorridorParams.from_corpus(corpus)
     cells: dict[tuple[str, str], list[float]] = {}
     seg_lines: list[str] = []
@@ -329,8 +336,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_baselines(args) -> int:
     corpus = load_corpus(args.corpus)
+    test = _reported_videos(args, corpus, "test")
     corridor = CorridorParams.from_corpus(corpus)
-    test = corpus.by_split("test")
     aux_rows = [a for a in AUX_TASKS if a != "learned_seg"]
     pipelines = tuple(PIPELINE_FLAG.values())
     inits: dict[tuple[str, int], AuxInit] = {}

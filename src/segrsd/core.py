@@ -131,7 +131,7 @@ def segmentation_to_labels(seg: Segmentation) -> np.ndarray:
 
 @dataclass
 class Corpus:
-    """A set of videos with a train/val/test partition by video id."""
+    """A set of videos with a train/val/test partition by video id, one or more in train."""
 
     videos: list[VideoSequence]
     split: dict[str, str]
@@ -150,6 +150,8 @@ class Corpus:
         bad = {s for s in self.split.values() if s not in SPLITS}
         if bad:
             raise ValueError(f"unknown split names: {sorted(bad)}")
+        if "train" not in self.split.values():
+            raise ValueError("corpus has no training videos")
         self._by_id = {v.id: v for v in self.videos}
 
     @property

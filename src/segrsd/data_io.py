@@ -17,6 +17,7 @@ metadata key's saved value and its check on load.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -340,7 +341,7 @@ def _read_container(path, expected_kind: int | None = None):
             raise ValueError(f"arrays is not a list of array descriptors: {descs!r}")
         parsed = [_array_descriptor(desc) for desc in descs]
     for name, shape, dtype in parsed:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # a Python int: np.prod would wrap past int64
         nbytes = count * dtype.itemsize
         if len(raw) < offset + nbytes:
             raise TruncatedFileError(f"{path}: truncated payload for {name}")

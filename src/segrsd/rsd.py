@@ -41,7 +41,6 @@ from .appearance import (
     DenseLayer,
     TrainConfig,
     _check_lambda,
-    _selected_backward,
     _trunk_blocks,
     _trunk_source,
     init_appearance,
@@ -114,8 +113,6 @@ class CorridorParams:
     def from_corpus(cls, corpus: Corpus):
         durations = np.sort([v.duration_min for v in corpus.by_split("train")])
         n = len(durations)
-        if not n:
-            raise ValueError("corpus has no training videos")
         # the middle value or the mean of the middle two: np.median's value,
         # without the numpy.ma import np.median makes on first use
         middle = durations[(n - 1) // 2:n // 2 + 1]
@@ -313,10 +310,11 @@ def rsd_loss_and_grads(params: RsdParams, video: VideoSequence, loss_name: str,
 
 def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
                   aux_targets, aux_weight):
-    """head_loss(trunk, rows, weights) of appearance._trunk_source on videos'
-    frames stacked in order, with the objective fixed here once: the target
-    in the model's units, params.output_scale times TARGETS[target_kind], and
-    for corr the remaining minutes the corridor weight reads."""
+    """head_loss(emb, ctx, rows, weights) of appearance._trunk_source on
+    videos' frames stacked in order, with the objective fixed here once: the
+    target in the model's units, params.output_scale times
+    TARGETS[target_kind], and for corr the remaining minutes the corridor
+    weight reads. It returns _rsd_loss's (loss, d_phi, head_grads)."""
     if loss_name not in LOSSES:
         raise ValueError(f"unknown loss {loss_name!r}")
     if target_kind not in TARGETS:
@@ -329,21 +327,21 @@ def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
     remaining = np.concatenate([v.remaining_min() for v in videos]) if corr else None
     aux = None if aux_targets is None else np.concatenate([aux_targets[v.id] for v in videos])
 
-    def head_loss(trunk, rows, weights):
-        return _rsd_loss(params, trunk, elapsed[rows], target[rows],
+    def head_loss(emb, ctx, rows, weights):
+        return _rsd_loss(params, emb, ctx, elapsed[rows], target[rows],
                          None if remaining is None else remaining[rows], corridor,
                          None if aux is None else aux[rows], weights, aux_weight)
 
     return head_loss
 
 
-def _rsd_loss(params: RsdParams, trunk, elapsed, target, remaining, corridor, aux_target,
+def _rsd_loss(params: RsdParams, emb, ctx, elapsed, target, remaining, corridor, aux_target,
               weights, aux_weight):
-    """The heads and losses of train_rsd on trunk = (back, emb, ctx) and the
-    elapsed minutes, targets, remaining minutes if corridor-weighted, aux
-    targets and per-row weights at the same rows, each loss the weighted sum
-    of its rows' terms; back may be None when the whole embedding is frozen."""
-    back, emb, ctx = trunk
+    """The heads and losses of train_rsd on [emb, ctx] and the elapsed
+    minutes, targets, remaining minutes if corridor-weighted, aux targets and
+    per-row weights at the same rows, each loss the weighted sum of its rows'
+    terms. Returns (loss, d_phi, head_grads): the gradient at the rows of
+    [emb, ctx], then [d_w, d_b] of head1, head2 and the aux head if any."""
     inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
     pi = 1.0
     if remaining is not None:
@@ -355,11 +353,10 @@ def _rsd_loss(params: RsdParams, trunk, elapsed, target, remaining, corridor, au
     dhidden = dpred[:, None] * params.head2.weights
     grad_h2 = [dpred[None, :] @ hidden, np.array([dpred.sum()])]
     dpre1 = dhidden * (1.0 - hidden * hidden)
-    grad_h1 = [dpre1.T @ inp, dpre1.sum(axis=0)]
+    grads = [[dpre1.T @ inp, dpre1.sum(axis=0)], grad_h2]
     dinp = dpre1 @ params.head1.weights
 
     h = emb.shape[1]
-    aux_grad = None
     if params.aux_head is not None and aux_target is not None:
         z = emb @ params.aux_head.weights.T + params.aux_head.bias
         aux_w = aux_weight * weights
@@ -369,18 +366,9 @@ def _rsd_loss(params: RsdParams, trunk, elapsed, target, remaining, corridor, au
             aux_loss = float((aux_w * smooth_l1(z[:, 0], aux_target, corridor.beta)).sum())
             dz = np.reshape(aux_w, (-1, 1)) * smooth_l1_grad(z, aux_target[:, None], corridor.beta)
         loss += aux_loss
-        aux_grad = [dz.T @ inp[:, :h], dz.sum(axis=0)]
+        grads.append([dz.T @ inp[:, :h], dz.sum(axis=0)])
         dinp[:, :h] += dz @ params.aux_head.weights
-
-    n_embed = len(params.embed)
-    grads = _selected_backward(
-        params.embed, params.trainable_mask[:n_embed], back, dinp[:, :2 * h],
-    )
-    grads.append(grad_h1)
-    grads.append(grad_h2)
-    if aux_grad is not None:
-        grads.append(aux_grad)
-    return loss, grads
+    return loss, dinp[:, :2 * h], grads
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +466,6 @@ def train_rsd(
         lr_mult[n_embed - 1] = 0.1
 
     train_videos = corpus.by_split("train")
-    if not train_videos:
-        raise ValueError("corpus has no training videos")
     val_set = corpus.by_split("val") or train_videos
     history: list[tuple[int, float, float]] = []
     best = copy.deepcopy(params)

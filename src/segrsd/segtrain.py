@@ -217,8 +217,6 @@ def run(corpus: Corpus, config: SegTrainConfig, verbose: bool = True) -> list[Se
     checkpoints gathered so far.
     """
     videos = corpus.by_split("train")
-    if not videos:
-        raise ValueError("corpus has no training videos")
     k = config.n_subactivities
     segs = init_labels(videos, k, derived_rng(config.seed, "init"))
     params = init_appearance(

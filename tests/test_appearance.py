@@ -62,7 +62,8 @@ def _ce_batch(params, feats, labels, scale=1.0):
     stacked = np.concatenate(labels)
     return _trunk_source(
         params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, feats,
-        lambda trunk, rows, weights: _cross_entropy(params, trunk, stacked[rows], scale * weights),
+        lambda emb, ctx, rows, weights: _cross_entropy(params, emb, ctx, stacked[rows],
+                                                       scale * weights),
     )
 
 
@@ -351,14 +352,15 @@ class TestWholeVideoBlocks:
         embed = params.layers[:-1]
         want = whole_array_trunk(embed, 0.9, video.features)
         before = make_video(n_frames=9, n_features=4, seed=1)
-        seen = []
+        seen, head_grads = [], [[np.ones((3, 8)), np.ones(3)]]
         batch_loss = _trunk_source(
             embed, [False, False], 0.9, [before.features, video.features],
-            lambda trunk, rows, weight: seen.append((trunk, rows, weight)) or (0.0, []),
+            lambda *args: seen.append(args) or (0.0, None, head_grads),
         )
-        batch_loss(9 + np.arange(n_frames))
-        [((back, *got), rows, weight)] = seen
-        assert back is None
+        _, grads = batch_loss(9 + np.arange(n_frames))
+        [(*got, rows, weight)] = seen
+        # one None per embedding layer, then the head's pairs as returned
+        assert len(grads) == 3 and grads[:2] == [None, None] and grads[2] is head_grads[0]
         np.testing.assert_array_equal(weight, np.full(n_frames, 1.0 / n_frames))
         for i in range(2):
             assert_block_close(got[i], want[i], n_frames)

@@ -306,6 +306,19 @@ class TestExitCodes:
         assert "error:" in err and "--checkpoint" in err
         assert not out.exists()
 
+    def test_usage_error_aux_seg_without_checkpoint(self, tmp_path, capsys):
+        # a flag rule like the three above: rejected before the corpus loads,
+        # so a missing corpus is not reported
+        out = tmp_path / "out"
+        code = main([
+            "train-rsd", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+            "--pipeline", "feature", "--aux", "seg", "--epochs", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: --aux seg needs --checkpoint" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("pipeline, aux", [
         ("feature", "none"), ("pretrain", "none"), ("regularize", "none"), ("single", "seg"),
     ])
@@ -348,15 +361,6 @@ class TestExitCodes:
             ])
             assert code == 2, checkpoint
             assert "error:" in capsys.readouterr().err
-
-    def test_data_error_aux_seg_without_checkpoint(self, workspace, capsys):
-        code = main([
-            "train-rsd", "--corpus", str(workspace / "corpus"),
-            "--out", str(workspace / "should_not_exist2"),
-            "--pipeline", "feature", "--aux", "seg", "--epochs", "1",
-        ])
-        assert code == 2
-        capsys.readouterr()
 
     EVALUATE = ["evaluate", "--models"]
 
@@ -462,7 +466,14 @@ class TestExitCodes:
         (lambda meta: meta["arrays"][0].update(shape=["a", 2]), "array 'embed0.w': shape"),
         (lambda meta: meta["arrays"][0].update(dtype="object"), "array 'embed0.w': dtype"),
         (lambda meta: meta["arrays"][0].update(shape=[-1, 12]), "array 'embed0.w': shape"),
-    ], ids=["dtype-foo", "no-shape", "arrays-5", "shape-str", "dtype-object", "shape-negative"])
+        # element counts past int64 are counted exactly, not wrapped to a
+        # count the payload happens to hold
+        (lambda meta: meta["arrays"][0].update(shape=[2**32, 2**32]),
+         "truncated payload for embed0.w"),
+        (lambda meta: meta["arrays"][0].update(shape=[2**62, 3]),
+         "truncated payload for embed0.w"),
+    ], ids=["dtype-foo", "no-shape", "arrays-5", "shape-str", "dtype-object", "shape-negative",
+            "shape-2^64", "shape-3*2^62"])
     def test_data_error_checkpoint_array_descriptor(self, workspace, tmp_path, capsys,
                                                     edit, named):
         # a malformed array descriptor is a data error naming the file and
@@ -500,6 +511,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "v000.seq" in err and "non-finite" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["segment"],
+        ["train-rsd", "--pipeline", "single"],
+        ["evaluate", "--models", "nonexistent.ckpt"],
+        ["baselines"],
+    ], ids=lambda command: command[0])
+    def test_data_error_no_training_videos(self, workspace, tmp_path, capsys, command):
+        # every command trains on or measures against the train split: a
+        # corpus without one is malformed, named as its manifest
+        root = self._corpus_copy(workspace, tmp_path)
+        manifest = root / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(" train\n", " val\n"))
+        out = tmp_path / "out"
+        code = main([command[0], "--corpus", str(root), "--out", str(out), *command[1:]])
+        assert code == 2
+        assert f"error: {manifest}: corpus has no training videos" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_error_baselines_without_test_videos(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        # the grid reports on the test split: an empty one is rejected before
+        # the first cell trains
+        monkeypatch.setattr("segrsd.cli.train_rsd",
+                            lambda *a, **k: pytest.fail("trained before checking the split"))
+        root = self._corpus_copy(workspace, tmp_path)
+        manifest = root / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(" test\n", " val\n"))
+        out = tmp_path / "out"
+        code = main(["baselines", "--corpus", str(root), "--out", str(out), "--repeats", "1",
+                     "--epochs", "1", "--aux-epochs", "1"])
+        assert code == 2
+        assert f"error: {root}: corpus has no videos in split 'test'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error_unknown_split(self, workspace, tmp_path, capsys):
         root = self._corpus_copy(workspace, tmp_path)

@@ -69,9 +69,9 @@ class TestMinibatchEpochs:
                 monkeypatch.setattr(appearance, "_STACK_ROWS", bound)
             heads = []
 
-            def head_loss(trunk, rows, weight):
+            def head_loss(emb, ctx, rows, weight):
                 heads[-1].append((rows.copy(), weight))
-                return 0.0, [[np.zeros((2, 3)), np.zeros(2)]]
+                return 0.0, np.zeros((len(rows), 4)), []
 
             trunk_batch_loss = _trunk_source(
                 [DenseLayer(np.ones((2, 3)), np.zeros(2))], [not frozen], 0.9,
@@ -80,7 +80,8 @@ class TestMinibatchEpochs:
 
             def batch_loss(rows):
                 heads.append([])
-                return trunk_batch_loss(rows)
+                # the one-layer optimizer gets a zero gradient of its own
+                return trunk_batch_loss(rows)[0], [[np.zeros((2, 3)), np.zeros(2)]]
 
             _, calls = self._run(starts[-1], batch_size=4, epochs=1, batch_loss=batch_loss)
             assert len(heads) == len(calls[0])

@@ -300,7 +300,7 @@ def _rsd_batch(params, videos, aux_targets, loss, target_kind, scale=1.0, corrid
     return _trunk_source(
         params.embed, params.trainable_mask[:len(params.embed)], params.context_lambda,
         [v.features for v in videos],
-        lambda trunk, rows, weights: head_loss(trunk, rows, scale * weights),
+        lambda emb, ctx, rows, weights: head_loss(emb, ctx, rows, scale * weights),
     )
 
 
@@ -660,8 +660,8 @@ class TestLiveBatch:
             batch_loss = _trunk_source(
                 params.layers[:-1], params.trainable_mask[:-1], 0.9,
                 [v.features for v in videos],
-                lambda trunk, rows, weights: appearance._cross_entropy(
-                    params, trunk, stacked[rows], weights),
+                lambda emb, ctx, rows, weights: appearance._cross_entropy(
+                    params, emb, ctx, stacked[rows], weights),
             )
         else:
             loss, aux_kind = head
