@@ -522,22 +522,25 @@ def cross_entropy_loss_and_grads(params: AppearanceParams, feats: np.ndarray, la
     through the context accumulator. Returns (loss, grads) with grads aligned
     to params.layers; frozen embedding layers get None.
     """
-    labels = np.asarray(labels)
-    batch_loss = _trunk_source(
-        params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, [feats],
-        lambda emb, ctx, rows, weights: _cross_entropy(params, emb, ctx, labels[rows], weights),
-    )
+    batch_loss = _trunk_source(params.layers[:-1], params.trainable_mask[:-1],
+                               params.context_lambda, [feats], _cross_entropy(params, labels))
     return batch_loss(np.arange(len(labels)))
 
 
-def _cross_entropy(params: AppearanceParams, emb, ctx, labels, weights):
-    """The head and loss of cross_entropy_loss_and_grads on [emb, ctx] at the
-    batch rows, with their per-row weights: head_loss of _trunk_source,
-    returning (loss, d_phi, [head's [d_w, d_b]])."""
-    head = params.layers[-1]
-    phi, logits = _logits(head, emb, ctx)
-    loss, dlogits = softmax_cross_entropy(logits, labels, weights)
-    return loss, dlogits @ head.weights, [[dlogits.T @ phi, dlogits.sum(axis=0)]]
+def _cross_entropy(params: AppearanceParams, labels):
+    """The head loss of params' softmax head on frames labeled labels, stacked
+    in order: head_loss(emb, ctx, rows, weights) of _trunk_source, returning
+    (loss, d_phi, [head's [d_w, d_b]]). It reads the head when called, so it
+    sees the optimizer's in-place updates."""
+    labels = np.asarray(labels, dtype=np.int64)
+
+    def head_loss(emb, ctx, rows, weights):
+        head = params.layers[-1]
+        phi, logits = _logits(head, emb, ctx)
+        loss, dlogits = softmax_cross_entropy(logits, labels[rows], weights)
+        return loss, dlogits @ head.weights, [[dlogits.T @ phi, dlogits.sum(axis=0)]]
+
+    return head_loss
 
 
 def mean_cross_entropy(
@@ -590,13 +593,9 @@ def train_appearance(
         return out
 
     labs = np.concatenate([np.asarray(labels[v.id], dtype=np.int64) for v in videos])
-
-    def head_loss(emb, ctx, rows, weights):
-        return _cross_entropy(out, emb, ctx, labs[rows], weights)
-
     batch_loss = _trunk_source(
         out.layers[:-1], out.trainable_mask[:-1], out.context_lambda,
-        [v.features for v in videos], head_loss,
+        [v.features for v in videos], _cross_entropy(out, labs),
     )
     for _ in minibatch_epochs(
         out.layers, out.trainable_mask, len(labs), config,

@@ -310,11 +310,15 @@ def rsd_loss_and_grads(params: RsdParams, video: VideoSequence, loss_name: str,
 
 def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
                   aux_targets, aux_weight):
-    """head_loss(emb, ctx, rows, weights) of appearance._trunk_source on
-    videos' frames stacked in order, with the objective fixed here once: the
-    target in the model's units, params.output_scale times
-    TARGETS[target_kind], and for corr the remaining minutes the corridor
-    weight reads. It returns _rsd_loss's (loss, d_phi, head_grads)."""
+    """The head loss of train_rsd on videos' frames stacked in order:
+    head_loss(emb, ctx, rows, weights) of appearance._trunk_source, with the
+    objective fixed here once: the target in the model's units,
+    params.output_scale times TARGETS[target_kind], and for corr the
+    remaining minutes the corridor weight reads. Each loss is the weighted
+    sum of its rows' terms, the aux term (with aux_targets only) times
+    aux_weight. head_loss returns (loss, d_phi, head_grads): the gradient at
+    the rows of [emb, ctx], then [d_w, d_b] of head1, head2 and the aux head
+    if it has a term."""
     if loss_name not in LOSSES:
         raise ValueError(f"unknown loss {loss_name!r}")
     if target_kind not in TARGETS:
@@ -328,47 +332,38 @@ def _stacked_loss(params: RsdParams, videos, loss_name, target_kind, corridor,
     aux = None if aux_targets is None else np.concatenate([aux_targets[v.id] for v in videos])
 
     def head_loss(emb, ctx, rows, weights):
-        return _rsd_loss(params, emb, ctx, elapsed[rows], target[rows],
-                         None if remaining is None else remaining[rows], corridor,
-                         None if aux is None else aux[rows], weights, aux_weight)
+        minutes, y = elapsed[rows], target[rows]
+        inp, hidden, pred = _duration_head(params, emb, ctx, minutes)
+        pi = 1.0
+        if corr:
+            pi = corridor_weight(pred / params.output_scale, minutes, remaining[rows], corridor)
+        loss = float((weights * (pi * smooth_l1(pred, y, corridor.beta))).sum())
+        dpred = weights * pi * smooth_l1_grad(pred, y, corridor.beta)
+
+        # backward through the duration head
+        dhidden = dpred[:, None] * params.head2.weights
+        grad_h2 = [dpred[None, :] @ hidden, np.array([dpred.sum()])]
+        dpre1 = dhidden * (1.0 - hidden * hidden)
+        grads = [[dpre1.T @ inp, dpre1.sum(axis=0)], grad_h2]
+        dinp = dpre1 @ params.head1.weights
+
+        h = emb.shape[1]
+        if aux is not None:
+            aux_target = aux[rows]
+            z = emb @ params.aux_head.weights.T + params.aux_head.bias
+            aux_w = aux_weight * weights
+            if params.aux_kind == "classes":
+                aux_loss, dz = softmax_cross_entropy(z, aux_target, aux_w)
+            else:
+                aux_loss = float((aux_w * smooth_l1(z[:, 0], aux_target, corridor.beta)).sum())
+                dz = np.reshape(aux_w, (-1, 1)) * smooth_l1_grad(z, aux_target[:, None],
+                                                                 corridor.beta)
+            loss += aux_loss
+            grads.append([dz.T @ inp[:, :h], dz.sum(axis=0)])
+            dinp[:, :h] += dz @ params.aux_head.weights
+        return loss, dinp[:, :2 * h], grads
 
     return head_loss
-
-
-def _rsd_loss(params: RsdParams, emb, ctx, elapsed, target, remaining, corridor, aux_target,
-              weights, aux_weight):
-    """The heads and losses of train_rsd on [emb, ctx] and the elapsed
-    minutes, targets, remaining minutes if corridor-weighted, aux targets and
-    per-row weights at the same rows, each loss the weighted sum of its rows'
-    terms. Returns (loss, d_phi, head_grads): the gradient at the rows of
-    [emb, ctx], then [d_w, d_b] of head1, head2 and the aux head if any."""
-    inp, hidden, pred = _duration_head(params, emb, ctx, elapsed)
-    pi = 1.0
-    if remaining is not None:
-        pi = corridor_weight(pred / params.output_scale, elapsed, remaining, corridor)
-    loss = float((weights * (pi * smooth_l1(pred, target, corridor.beta))).sum())
-    dpred = weights * pi * smooth_l1_grad(pred, target, corridor.beta)
-
-    # backward through the duration head
-    dhidden = dpred[:, None] * params.head2.weights
-    grad_h2 = [dpred[None, :] @ hidden, np.array([dpred.sum()])]
-    dpre1 = dhidden * (1.0 - hidden * hidden)
-    grads = [[dpre1.T @ inp, dpre1.sum(axis=0)], grad_h2]
-    dinp = dpre1 @ params.head1.weights
-
-    h = emb.shape[1]
-    if params.aux_head is not None and aux_target is not None:
-        z = emb @ params.aux_head.weights.T + params.aux_head.bias
-        aux_w = aux_weight * weights
-        if params.aux_kind == "classes":
-            aux_loss, dz = softmax_cross_entropy(z, aux_target, aux_w)
-        else:
-            aux_loss = float((aux_w * smooth_l1(z[:, 0], aux_target, corridor.beta)).sum())
-            dz = np.reshape(aux_w, (-1, 1)) * smooth_l1_grad(z, aux_target[:, None], corridor.beta)
-        loss += aux_loss
-        grads.append([dz.T @ inp[:, :h], dz.sum(axis=0)])
-        dinp[:, :h] += dz @ params.aux_head.weights
-    return loss, dinp[:, :2 * h], grads
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ subactivities j > i placed before i, with v_i in {0..K-1-i} and
 so slots are independent truncated geometrics. Lengths are one frame plus a
 multinomial split of the remaining frames over the present subactivities.
 Segmentations are resampled by Metropolis-within-Gibbs moves: boundary
-shifts, adjacent order swaps, and birth/death of unit-length segments.
+shifts, adjacent order swaps, and birth/death of unit-length segments. Each
+move proposes a candidate with its log Hastings term, and one
+Metropolis-Hastings step accepts or rejects every proposal.
 """
 from __future__ import annotations
 
@@ -296,10 +298,6 @@ def segmentation_log_joint(
     return _joint_scorer(probs, mallows, length_model, seg.n_subactivities)(seg.order, seg.lengths)
 
 
-def _accept(log_ratio: float, rng) -> bool:
-    return log_ratio >= 0 or rng.random() < math.exp(log_ratio)
-
-
 def sample_segmentation(
     probs: np.ndarray,
     mallows: MallowsModel,
@@ -315,7 +313,11 @@ def sample_segmentation(
     adjacent segment pair; and, with probability BIRTH_DEATH_PROB, a birth
     (insert an absent subactivity as a unit segment, taking a frame from the
     segment it displaces) or death (remove a unit segment, returning its
-    frame) with the matching Hastings correction.
+    frame). Each proposal is (order, lengths, log Hastings term), the term 0
+    for the symmetric shift and swap, or None when it falls outside the
+    support; one Metropolis-Hastings step scores it and accepts it with
+    probability min(1, exp(log joint ratio + log Hastings term)), drawing a
+    uniform only when that ratio is below 0 and nothing for a None.
     """
     n_sub = current.n_subactivities
     n_frames = current.n_frames
@@ -327,21 +329,24 @@ def sample_segmentation(
     cur = score(order, lengths)
     width = max(1, n_frames // 50)
 
+    def step(proposal):
+        nonlocal order, lengths, cur
+        if proposal is not None:
+            cand_order, cand_lengths, log_hastings = proposal
+            new = score(cand_order, cand_lengths)
+            log_ratio = new - cur + log_hastings
+            if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+                order, lengths, cur = cand_order, cand_lengths, new
+
     for _ in range(sweeps):
         # boundary shifts, one proposal per internal boundary
         for b in range(len(order) - 1):
             draw = int(rng.integers(0, 2 * width))
             delta = draw - width if draw < width else draw - width + 1
-            left = lengths[b] + delta
-            right = lengths[b + 1] - delta
-            if left < 1 or right < 1:
-                continue
             cand = lengths.copy()
-            cand[b] = left
-            cand[b + 1] = right
-            new = score(order, cand)
-            if _accept(new - cur, rng):
-                lengths, cur = cand, new
+            cand[b] += delta
+            cand[b + 1] -= delta
+            step((order, cand, 0.0) if cand[b] >= 1 and cand[b + 1] >= 1 else None)
 
         # adjacent order swap
         if len(order) >= 2:
@@ -350,23 +355,17 @@ def sample_segmentation(
             cand_lengths = lengths.copy()
             cand_order[i], cand_order[i + 1] = cand_order[i + 1], cand_order[i]
             cand_lengths[i], cand_lengths[i + 1] = cand_lengths[i + 1], cand_lengths[i]
-            new = score(cand_order, cand_lengths)
-            if _accept(new - cur, rng):
-                order, lengths, cur = cand_order, cand_lengths, new
+            step((cand_order, cand_lengths, 0.0))
 
         # birth/death of unit-length segments
         if rng.random() < BIRTH_DEATH_PROB:
-            if rng.random() < 0.5:
-                result = _propose_birth(order, lengths, n_sub, score, cur, rng)
-            else:
-                result = _propose_death(order, lengths, n_sub, score, cur, rng)
-            if result is not None:
-                order, lengths, cur = result
+            propose = _propose_birth if rng.random() < 0.5 else _propose_death
+            step(propose(order, lengths, n_sub, rng))
 
     return Segmentation(tuple(zip(order, lengths)), n_sub)
 
 
-def _propose_birth(order, lengths, n_sub, score, cur, rng):
+def _propose_birth(order, lengths, n_sub, rng):
     absent = [k for k in range(n_sub) if k not in order]
     if not absent:
         return None
@@ -381,15 +380,10 @@ def _propose_birth(order, lengths, n_sub, score, cur, rng):
     cand_lengths.insert(slot, 1)
     cand_order = order.copy()
     cand_order.insert(slot, newcomer)
-    new = score(cand_order, cand_lengths)
-    units_after = cand_lengths.count(1)
-    log_ratio = new - cur + math.log(len(absent) * (n_seg + 1) / units_after)
-    if _accept(log_ratio, rng):
-        return cand_order, cand_lengths, new
-    return None
+    return cand_order, cand_lengths, math.log(len(absent) * (n_seg + 1) / cand_lengths.count(1))
 
 
-def _propose_death(order, lengths, n_sub, score, cur, rng):
+def _propose_death(order, lengths, n_sub, rng):
     n_seg = len(order)
     if n_seg < 2:
         return None
@@ -403,9 +397,5 @@ def _propose_death(order, lengths, n_sub, score, cur, rng):
     cand_lengths[recipient] += 1
     del cand_order[victim]
     del cand_lengths[victim]
-    new = score(cand_order, cand_lengths)
     absent_after = n_sub - (n_seg - 1)
-    log_ratio = new - cur + math.log(len(units) / (absent_after * n_seg))
-    if _accept(log_ratio, rng):
-        return cand_order, cand_lengths, new
-    return None
+    return cand_order, cand_lengths, math.log(len(units) / (absent_after * n_seg))

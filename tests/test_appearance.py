@@ -59,11 +59,10 @@ def _plan(rows, lam):
 def _ce_batch(params, feats, labels, scale=1.0):
     """train_appearance's batch loss over videos' feature arrays and their
     labels, each row's weight times scale."""
-    stacked = np.concatenate(labels)
+    head_loss = _cross_entropy(params, np.concatenate(labels))
     return _trunk_source(
         params.layers[:-1], params.trainable_mask[:-1], params.context_lambda, feats,
-        lambda emb, ctx, rows, weights: _cross_entropy(params, emb, ctx, stacked[rows],
-                                                       scale * weights),
+        lambda emb, ctx, rows, weights: head_loss(emb, ctx, rows, scale * weights),
     )
 
 

@@ -655,13 +655,11 @@ class TestLiveBatch:
             params = appearance.AppearanceParams(
                 [*embed, init_dense(rng, 8, 3)], [True] * 3, 0.9)
             labels = [rng.integers(0, 3, size=v.n_frames) for v in videos]
-            stacked = np.concatenate(labels)
             layers = params.layers
             batch_loss = _trunk_source(
                 params.layers[:-1], params.trainable_mask[:-1], 0.9,
                 [v.features for v in videos],
-                lambda emb, ctx, rows, weights: appearance._cross_entropy(
-                    params, emb, ctx, stacked[rows], weights),
+                appearance._cross_entropy(params, np.concatenate(labels)),
             )
         else:
             loss, aux_kind = head
