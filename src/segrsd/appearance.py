@@ -55,6 +55,14 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
+def _check_chain(layers: Sequence[DenseLayer]) -> None:
+    """A ValueError unless each layer's input width is the previous one's output width."""
+    for i in range(1, len(layers)):
+        if layers[i].in_dim != layers[i - 1].out_dim:
+            raise ValueError(f"embedding layer {i} takes {layers[i].in_dim} inputs, "
+                             f"layer {i - 1} gives {layers[i - 1].out_dim}")
+
+
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int) -> DenseLayer:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     bound = 1.0 / np.sqrt(in_dim)
@@ -82,6 +90,7 @@ class AppearanceParams:
         if len(self.trainable_mask) != len(self.layers):
             raise ValueError(f"trainable_mask needs one entry per layer: {self.trainable_mask!r}")
         _check_lambda(self.context_lambda)
+        _check_chain(self.layers[:-1])
         emb_dim = self.layers[-2].out_dim
         if self.layers[-1].in_dim != 2 * emb_dim:
             raise ValueError("head input width must be twice the embedding width")

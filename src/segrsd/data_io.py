@@ -381,7 +381,18 @@ def _pack_layers(prefix: str, layers: Sequence[DenseLayer]):
 
 
 def _unpack_layers(prefix: str, count: int, arrays: dict) -> list[DenseLayer]:
-    return [DenseLayer(arrays[f"{prefix}{i}.w"], arrays[f"{prefix}{i}.b"]) for i in range(count)]
+    """The count layers saved under prefix, each finite floating (out, in)
+    weights and an (out,) bias, else a ValueError naming the layer."""
+    layers = []
+    for i in range(count):
+        w, b = arrays[f"{prefix}{i}.w"], arrays[f"{prefix}{i}.b"]
+        if not (w.ndim == 2 and b.shape == w.shape[:1] and w.dtype.kind == b.dtype.kind == "f"):
+            raise ValueError(f"layer {prefix}{i}: weights {w.dtype}{list(w.shape)} and bias "
+                             f"{b.dtype}{list(b.shape)} are not floating (out, in) and (out,)")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {prefix}{i} holds non-finite values")
+        layers.append(DenseLayer(w, b))
+    return layers
 
 
 # (check, what a valid value is) of one metadata value. JSON numbers load as
@@ -464,6 +475,9 @@ def load_seg_checkpoint(path, expect_feature_dim: int | None = None) -> SegCheck
         mallows = MallowsModel(k, arrays["rho"], meta["nu0"], meta["r0"])
         lengths = LengthModel(k, arrays["theta"], meta["alpha0"])
         labels = {vid: arrays[f"labels.{vid}"] for vid in meta["video_ids"]}
+        for vid, lab in labels.items():
+            if not np.issubdtype(lab.dtype, np.integer) or ((lab < 0) | (lab >= k)).any():
+                raise ValueError(f"labels of video {vid!r} are not integers in [0, {k})")
         return SegCheckpoint(meta["iteration"], app, mallows, lengths, labels, meta["tc_score"])
 
 

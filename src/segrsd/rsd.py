@@ -40,6 +40,7 @@ from .appearance import (
     CONTEXT_LAMBDA,
     DenseLayer,
     TrainConfig,
+    _check_chain,
     _check_lambda,
     _trunk_blocks,
     _trunk_source,
@@ -205,6 +206,7 @@ class RsdParams:
         scale = self.output_scale
         if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < np.inf:
             raise ValueError(f"output_scale is not a finite positive number: {scale!r}")
+        _check_chain(self.embed)
         emb_dim = self.embed[-1].out_dim
         if self.head1.in_dim != 2 * emb_dim + 1:
             raise ValueError("duration head must take [embedding, context, elapsed]")
@@ -218,6 +220,9 @@ class RsdParams:
             raise ValueError(f"unknown aux kind {self.aux_kind!r}")
         if (self.aux_head is None) != (self.aux_kind == "none"):
             raise ValueError("aux head and aux kind must agree")
+        if self.aux_head is not None and self.aux_head.in_dim != emb_dim:
+            raise ValueError(f"aux head takes {self.aux_head.in_dim} inputs, "
+                             f"the embedding gives {emb_dim}")
 
     def layer_list(self) -> list[DenseLayer]:
         layers = [*self.embed, self.head1, self.head2]

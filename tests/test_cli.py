@@ -7,6 +7,7 @@ import sys
 from operator import delitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import segrsd
@@ -47,6 +48,11 @@ def workspace(tmp_path_factory):
         "train-rsd", "--corpus", corpus, "--out", feature_out,
         "--pipeline", "feature", "--aux", "seg",
         "--checkpoint", f"{seg_out}/segmentation.ckpt",
+        "--epochs", "3", "--hidden", "8", "--seed", "0",
+    ]) == 0
+    assert main([
+        "train-rsd", "--corpus", corpus, "--out", str(root / "regularize"),
+        "--pipeline", "regularize", "--aux", "uniform",
         "--epochs", "3", "--hidden", "8", "--seed", "0",
     ]) == 0
     return root
@@ -173,6 +179,68 @@ class TestDeterminism:
         assert (pa / name).read_bytes() == (pb / name).read_bytes()
         report = "rsd_regularize_uniform_corr_report.txt"
         assert (pa / report).read_text() == (pb / report).read_text()
+
+
+def _first_labels(arrays):
+    return min(name for name in arrays if name.startswith("labels."))
+
+
+def _edit_labels(arrays, change):
+    name = _first_labels(arrays)
+    arrays[name] = change(arrays[name])
+
+
+def _misfit_layer(meta, arrays, count_key, prefix, at):
+    """Insert a layer at index at of the layers saved under prefix, taking 7
+    inputs where the layer before it gives 8, and count it in meta."""
+    for i in range(meta[count_key] - 1, at - 1, -1):
+        for part in ("w", "b"):
+            arrays[f"{prefix}{i + 1}.{part}"] = arrays.pop(f"{prefix}{i}.{part}")
+    arrays[f"{prefix}{at}.w"], arrays[f"{prefix}{at}.b"] = np.zeros((8, 7)), np.zeros(8)
+    meta[count_key] += 1
+    meta["trainable_mask"].append(True)
+
+
+_SEG = "seg/segmentation.ckpt"
+_SINGLE = "single/rsd_single_none_smoothl1.ckpt"
+_EVALUATE = ["evaluate", "--models"]
+_TRAIN_FROM_SEG = ["train-rsd", "--pipeline", "feature", "--aux", "seg", "--epochs", "1",
+                   "--checkpoint"]
+# (case, checkpoint in the workspace, edit(meta, arrays), what the error names);
+# the workspace models embed to 8 dimensions from 4 features, K = 3
+_ARRAY_EDITS = [
+    ("rho-short", _SEG, lambda meta, arrays: arrays.update(rho=arrays["rho"][:-1]), "rho"),
+    ("seg-bias-short", _SEG,
+     lambda meta, arrays: arrays.update({"layer0.b": arrays["layer0.b"][:-1]}), "layer layer0"),
+    ("seg-int-weights", _SEG,
+     lambda meta, arrays: arrays.update({"layer0.w": arrays["layer0.w"].astype(np.int64)}),
+     "layer layer0"),
+    ("seg-embedding-chain", _SEG,
+     lambda meta, arrays: _misfit_layer(meta, arrays, "n_layers", "layer", 1),
+     "embedding layer 1 takes 7 inputs"),
+    ("labels-negative", _SEG, lambda meta, arrays: _edit_labels(arrays, lambda lab: lab - 4),
+     "labels of video 'v00"),
+    ("labels-too-large", _SEG, lambda meta, arrays: _edit_labels(arrays, lambda lab: lab + 3),
+     "labels of video 'v00"),
+    ("labels-float", _SEG,
+     lambda meta, arrays: _edit_labels(arrays, lambda lab: lab.astype(np.float64)),
+     "labels of video 'v00"),
+    ("rsd-bias-short", _SINGLE,
+     lambda meta, arrays: arrays.update({"head1_0.b": arrays["head1_0.b"][:-1]}),
+     "layer head1_0"),
+    ("rsd-1d-weights", _SINGLE,
+     lambda meta, arrays: arrays.update({"head2_0.w": arrays["head2_0.w"].ravel()}),
+     "layer head2_0"),
+    ("rsd-nan-bias", _SINGLE,
+     lambda meta, arrays: arrays.update({"head2_0.b": np.array([np.nan])}),
+     "layer head2_0 holds non-finite"),
+    ("rsd-embedding-chain", _SINGLE,
+     lambda meta, arrays: _misfit_layer(meta, arrays, "n_embed", "embed", 1),
+     "embedding layer 1 takes 7 inputs"),
+    ("rsd-aux-width", "regularize/rsd_regularize_uniform_smoothl1.ckpt",
+     lambda meta, arrays: arrays.update({"aux_0.w": arrays["aux_0.w"][:, :-2]}),
+     "aux head takes 6 inputs"),
+]
 
 
 class TestExitCodes:
@@ -362,7 +430,7 @@ class TestExitCodes:
             assert code == 2, checkpoint
             assert "error:" in capsys.readouterr().err
 
-    EVALUATE = ["evaluate", "--models"]
+    EVALUATE = _EVALUATE
 
     def _checkpoint_error(self, workspace, tmp_path, capsys, command, checkpoint):
         """(exit code, stderr) of command, whose last flag takes checkpoint,
@@ -392,20 +460,21 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {bad}:" in err and "'embed0.w'" in err
 
-    @pytest.mark.parametrize("command", [
-        EVALUATE,
-        ["train-rsd", "--pipeline", "feature", "--aux", "seg", "--epochs", "1", "--checkpoint"],
+    @pytest.mark.parametrize("command, checkpoint, edit, named", [
+        pytest.param(command, checkpoint, edit, named, id=f"{command[0]}-{name}")
+        for name, checkpoint, edit, named in _ARRAY_EDITS
+        for command in ([_EVALUATE, _TRAIN_FROM_SEG] if checkpoint == _SEG else [_EVALUATE])
     ])
-    def test_data_error_seg_checkpoint_of_wrong_rho(self, workspace, tmp_path, capsys, command):
+    def test_data_error_checkpoint_arrays(self, workspace, tmp_path, capsys,
+                                          command, checkpoint, edit, named):
+        # an array that cannot be the model's, or labels that are not its
+        # subactivities, are rejected as the file loads, not met later as a
+        # numpy error, an IndexError, a nan in the report or a silent run
         bad = tmp_path / "bad.ckpt"
-
-        def cut_rho(meta, arrays):
-            arrays["rho"] = arrays["rho"][:-1]
-
-        _rewrite_checkpoint(workspace / "seg" / "segmentation.ckpt", bad, cut_rho)
+        _rewrite_checkpoint(workspace / checkpoint, bad, edit)
         code, err = self._checkpoint_error(workspace, tmp_path, capsys, command, bad)
         assert code == 2
-        assert f"error: {bad}:" in err and "rho" in err
+        assert f"error: {bad}:" in err and named in err
 
     @pytest.mark.parametrize("checkpoint, key, value", [
         ("single/rsd_single_none_smoothl1.ckpt", "n_embed", 0),

@@ -466,3 +466,22 @@ class TestSampler:
         a = sample_segmentation(probs, m, lm, seg, np.random.default_rng(5), sweeps=40)
         b = sample_segmentation(probs, m, lm, seg, np.random.default_rng(5), sweeps=40)
         assert a == b
+
+    @pytest.mark.parametrize("seed, segments, next_draw", [
+        (5, ((2, 3), (3, 2), (1, 1), (0, 2)), 0.11335589292157644),
+        (11, ((1, 3), (3, 2), (2, 1), (0, 2)), 0.9154059429607871),
+    ])
+    def test_pinned_draws(self, seed, segments, next_draw):
+        # the exact chain: on these inputs every move type is both accepted
+        # and rejected, and shifts, births and deaths also propose outside
+        # the support, so any change to which draws are taken, or in which
+        # order, moves the result or the generator's next draw
+        k = 4
+        probs = np.random.default_rng(5).dirichlet(3.0 * np.ones(k), size=8)
+        m = MallowsModel.with_constant_rho(k, 0.2)
+        lm = LengthModel(k, np.array([0.4, 0.3, 0.2, 0.1]))
+        start = Segmentation(((2, 3), (0, 1), (3, 4)), k)
+        rng = np.random.default_rng(seed)
+        out = sample_segmentation(probs, m, lm, start, rng, sweeps=60)
+        assert out.segments == segments
+        assert rng.random() == next_draw
