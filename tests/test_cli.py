@@ -181,12 +181,9 @@ class TestDeterminism:
         assert (pa / report).read_text() == (pb / report).read_text()
 
 
-def _first_labels(arrays):
-    return min(name for name in arrays if name.startswith("labels."))
-
-
 def _edit_labels(arrays, change):
-    name = _first_labels(arrays)
+    """Replace the first video's labels lab by change(lab)."""
+    name = min(name for name in arrays if name.startswith("labels."))
     arrays[name] = change(arrays[name])
 
 
@@ -430,8 +427,6 @@ class TestExitCodes:
             assert code == 2, checkpoint
             assert "error:" in capsys.readouterr().err
 
-    EVALUATE = _EVALUATE
-
     def _checkpoint_error(self, workspace, tmp_path, capsys, command, checkpoint):
         """(exit code, stderr) of command, whose last flag takes checkpoint,
         on the workspace corpus; it must write no output directory."""
@@ -446,7 +441,7 @@ class TestExitCodes:
     def test_data_error_seg_checkpoint_without_metadata(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         _write_container(bad, _KIND_SEG, {}, [])
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, _EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}:" in err and "'n_layers'" in err
 
@@ -456,7 +451,7 @@ class TestExitCodes:
             workspace / "single" / "rsd_single_none_smoothl1.ckpt", bad,
             lambda meta, arrays: arrays.pop("embed0.w"),
         )
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, _EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}:" in err and "'embed0.w'" in err
 
@@ -524,7 +519,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(workspace / checkpoint, bad,
                             lambda meta, arrays: meta.update({key: value}))
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, _EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}: {key}" in err and repr(value) in err
 
@@ -549,7 +544,7 @@ class TestExitCodes:
         # the array, not a traceback or a usage error
         bad = tmp_path / "bad.ckpt"
         _rewrite_metadata(workspace / "single" / "rsd_single_none_smoothl1.ckpt", bad, edit)
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, _EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}: {named}" in err
 
@@ -557,7 +552,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.ckpt"
         _rewrite_metadata(workspace / "single" / "rsd_single_none_smoothl1.ckpt", bad,
                           lambda meta: [1, 2])
-        code, err = self._checkpoint_error(workspace, tmp_path, capsys, self.EVALUATE, bad)
+        code, err = self._checkpoint_error(workspace, tmp_path, capsys, _EVALUATE, bad)
         assert code == 2
         assert f"error: {bad}: metadata is not a JSON object: [1, 2]" in err
 
